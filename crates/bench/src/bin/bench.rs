@@ -6,14 +6,11 @@
 //! cycles simulated, wall seconds, cycles/sec, and the jobs=N speedup
 //! over jobs=1, plus a `deterministic` flag asserting the two sweeps
 //! produced identical reports. A second section times one *single* run
-//! across a curve of shard counts — sequential, 2 shards, and the
-//! topology's maximum (`SystemBuilder::shards`) — reporting a
-//! `shards_curve` array and asserting every sharded report is
-//! bit-identical to the sequential one. A third section runs
-//! the same cell on the ideal contention-free fabric
-//! (`SystemBuilder::fabric`), reporting `cycles_per_sec_ideal_fabric` —
-//! skipping per-flit simulation must beat the cycle-accurate NoC on
-//! wall-clock throughput, and CI gates on it.
+//! on the cycle-accurate NoC (`cycles_per_sec_single`) and the same cell
+//! on the ideal contention-free fabric (`SystemBuilder::fabric`),
+//! reporting `cycles_per_sec_ideal_fabric` — skipping per-flit
+//! simulation must beat the cycle-accurate NoC on wall-clock
+//! throughput, and CI gates on it.
 //!
 //! ```sh
 //! NIM_SCALE=quick NIM_JOBS=4 cargo run --release -p nim-bench --bin bench
@@ -57,28 +54,24 @@ fn timed_sweep(
     Ok((reports?, wall))
 }
 
-/// Runs one 2-layer CmpDnuca3d cell with the network cut into `shards`
-/// regions on the given interconnect substrate, returning the report,
-/// the wall time of `System::run` alone (build and prewarm excluded),
-/// and the window executor's spawn threshold after the run (the
-/// calibrated value unless overridden; meaningful only when sharded).
+/// Runs one 2-layer CmpDnuca3d cell on the given interconnect
+/// substrate, returning the report and the wall time of `System::run`
+/// alone (build and prewarm excluded).
 fn timed_single_run(
     scale: ExperimentScale,
     profile: &BenchmarkProfile,
-    shards: usize,
     fabric: FabricKind,
-) -> Result<(RunReport, f64, u64), Box<dyn Error>> {
+) -> Result<(RunReport, f64), Box<dyn Error>> {
     let mut sys = SystemBuilder::new(Scheme::CmpDnuca3d)
         .seed(42)
         .warmup_transactions(scale.warmup)
         .sampled_transactions(scale.sample)
-        .shards(shards)
         .fabric(fabric)
         .build()?;
     let start = Instant::now();
     let report = sys.run(profile)?;
     let wall = start.elapsed().as_secs_f64();
-    Ok((report, wall, sys.network().window_spawn_min()))
+    Ok((report, wall))
 }
 
 fn main() -> Result<(), Box<dyn Error>> {
@@ -120,38 +113,18 @@ fn main() -> Result<(), Box<dyn Error>> {
     let cps_n = cycles as f64 / wall_n.max(1e-9);
     let speedup = wall_1 / wall_n.max(1e-9);
 
-    // Single-run shard curve: the same simulation with its network cut
-    // into 1, 2, and the topology's maximum number of cluster-row
-    // shards, all advancing concurrently between pillar grants.
-    let sharded_profile = BenchmarkProfile::art();
-    let max_shards = SystemBuilder::new(Scheme::CmpDnuca3d)
-        .shards(usize::MAX)
-        .build()?
-        .network()
-        .shards();
-    let mut shard_counts = vec![1usize, 2, max_shards];
-    shard_counts.sort_unstable();
-    shard_counts.dedup();
-    let mut curve = Vec::new();
-    for &n in &shard_counts {
-        eprintln!("# bench: single run, shards={n}");
-        let (report, wall, spawn_min) =
-            timed_single_run(scale, &sharded_profile, n, FabricKind::Sim)?;
-        curve.push((n, report, wall, spawn_min));
-    }
-    let seq_debug = format!("{:?}", curve[0].1);
-    let sharded_deterministic = curve
-        .iter()
-        .all(|(_, report, _, _)| format!("{report:?}") == seq_debug);
-    let cps_s1 = curve[0].1.cycles as f64 / curve[0].2.max(1e-9);
-
-    // Ideal contention-free fabric: the same cell with every packet's
-    // latency computed analytically instead of simulated flit by flit.
-    eprintln!("# bench: single-run ideal fabric, shards=1");
-    let (ideal_report, wall_ideal, _) =
-        timed_single_run(scale, &sharded_profile, 1, FabricKind::Ideal)?;
+    // One single run on the flit-level NoC, then the same cell on the
+    // ideal contention-free fabric, with every packet's latency computed
+    // analytically instead of simulated flit by flit.
+    let single_profile = BenchmarkProfile::art();
+    eprintln!("# bench: single run");
+    let (single_report, wall_single) = timed_single_run(scale, &single_profile, FabricKind::Sim)?;
+    let seq_debug = format!("{single_report:?}");
+    let cps_single = single_report.cycles as f64 / wall_single.max(1e-9);
+    eprintln!("# bench: single-run ideal fabric");
+    let (ideal_report, wall_ideal) = timed_single_run(scale, &single_profile, FabricKind::Ideal)?;
     let cps_ideal = ideal_report.cycles as f64 / wall_ideal.max(1e-9);
-    let ideal_fabric_speedup = cps_ideal / cps_s1.max(1e-9);
+    let ideal_fabric_speedup = cps_ideal / cps_single.max(1e-9);
 
     // Snapshot/resume: pause the same cell at its warmup boundary, time
     // writing the image and restoring a live system from it, and check
@@ -162,7 +135,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         .warmup_transactions(scale.warmup)
         .sampled_transactions(scale.sample)
         .build()?;
-    let mut gen = sys.begin(&sharded_profile);
+    let mut gen = sys.begin(&single_profile);
     if sys.run_until(&mut gen, scale.warmup)?.is_some() {
         return Err("warmup stop unexpectedly finished the run".into());
     }
@@ -179,7 +152,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     // and forks, vs N cold starts. Timed at jobs=1 so the speedup
     // isolates the shared warmup, not thread-level parallelism.
     eprintln!("# bench: warmup-forked sweep, 4 duplicate cells");
-    let fork_bench = [sharded_profile.clone()];
+    let fork_bench = [single_profile];
     let fork_specs = [SweepSpec::new(Scheme::CmpDnuca3d, 0); 4];
     set_jobs_override(Some(1));
     let start = Instant::now();
@@ -208,22 +181,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     let _ = writeln!(json, "  \"cycles_per_sec_1\": {cps_1:.1},");
     let _ = writeln!(json, "  \"cycles_per_sec_n\": {cps_n:.1},");
     let _ = writeln!(json, "  \"speedup\": {speedup:.3},");
-    let _ = writeln!(json, "  \"cycles_per_sec_sharded_1\": {cps_s1:.1},");
-    let _ = writeln!(json, "  \"shards_curve\": [");
-    for (i, (n, report, wall, spawn_min)) in curve.iter().enumerate() {
-        let cps = report.cycles as f64 / wall.max(1e-9);
-        let comma = if i + 1 < curve.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{ \"shards\": {n}, \"wall_secs\": {wall:.6}, \
-             \"cycles_per_sec\": {cps:.1}, \"spawn_min\": {spawn_min} }}{comma}"
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(
-        json,
-        "  \"sharded_deterministic\": {sharded_deterministic},"
-    );
+    let _ = writeln!(json, "  \"cycles_per_sec_single\": {cps_single:.1},");
     let _ = writeln!(json, "  \"cycles_per_sec_ideal_fabric\": {cps_ideal:.1},");
     let _ = writeln!(
         json,
@@ -252,9 +210,6 @@ fn main() -> Result<(), Box<dyn Error>> {
     eprintln!("# wrote {out_path}");
     if !deterministic {
         return Err("parallel sweep diverged from the sequential sweep".into());
-    }
-    if !sharded_deterministic {
-        return Err("a sharded run diverged from the sequential run".into());
     }
     if !resumed_deterministic {
         return Err("the resumed run diverged from the sequential run".into());

@@ -49,49 +49,8 @@ pub struct SystemBuilder {
     vicinity_stop: bool,
     replication: bool,
     edge_memory: bool,
-    skip: bool,
-    shards: ShardRequest,
-    window_tuning: Option<(u64, usize)>,
     fabric: FabricKind,
     obs: Obs,
-}
-
-/// A shard-count request: an explicit number, or `Auto` — pick the
-/// largest count the topology supports that does not exceed the
-/// machine's available parallelism.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ShardRequest {
-    Fixed(usize),
-    Auto,
-}
-
-impl ShardRequest {
-    /// The concrete count to ask the network for; `new_sharded` then
-    /// clamps it to the largest valid cluster-row divisor.
-    fn resolve(self) -> usize {
-        match self {
-            Self::Fixed(n) => n,
-            Self::Auto => {
-                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-            }
-        }
-    }
-}
-
-/// Default shard request: the `NIM_SHARDS` environment variable
-/// (`auto` or a count), else 1 (plain sequential simulation).
-fn shards_from_env() -> ShardRequest {
-    let Some(v) = std::env::var("NIM_SHARDS").ok() else {
-        return ShardRequest::Fixed(1);
-    };
-    let v = v.trim();
-    if v.eq_ignore_ascii_case("auto") {
-        return ShardRequest::Auto;
-    }
-    v.parse()
-        .ok()
-        .filter(|&n| n >= 1)
-        .map_or(ShardRequest::Fixed(1), ShardRequest::Fixed)
 }
 
 impl SystemBuilder {
@@ -107,9 +66,6 @@ impl SystemBuilder {
             vicinity_stop: true,
             replication: false,
             edge_memory: false,
-            skip: std::env::var_os("NIM_NO_SKIP").is_none(),
-            shards: shards_from_env(),
-            window_tuning: None,
             fabric: FabricKind::default(),
             obs: Obs::disabled(),
         }
@@ -226,47 +182,12 @@ impl SystemBuilder {
         self
     }
 
-    /// Whether the main loop may batch-advance the clock through spans
-    /// it can prove are dead (no network phase fires, no timed event is
-    /// due, no core needs a tick). On by default; the `NIM_NO_SKIP`
-    /// environment variable (any value) flips the default off, forcing
-    /// the naive one-tick-per-cycle loop. Results are bit-identical
-    /// either way — skipping only elides cycles in which nothing
-    /// observable happens (`noc_skip_equivalence` asserts this).
-    pub fn horizon_skipping(mut self, on: bool) -> Self {
-        self.skip = on;
-        self
-    }
-
-    /// Cuts the network into `n` independently-clocked shards (bands of
-    /// whole cluster rows) that advance concurrently between dTDMA
-    /// pillar grants — see `Network::advance_window` in `nim-noc`.
-    /// Results are bit-identical for any shard count; the request is
-    /// clamped to the largest divisor of the cluster-row count
-    /// (`layers × cluster-grid height`; always 1 for 2D schemes).
-    /// Defaults to the `NIM_SHARDS` environment variable (`auto` or a
-    /// count), else 1. Requires [`SystemBuilder::horizon_skipping`]
-    /// (the default) to have any effect on the run loop.
-    pub fn shards(mut self, n: usize) -> Self {
-        self.shards = ShardRequest::Fixed(n.max(1));
-        self
-    }
-
-    /// Picks the shard count automatically: the largest count the
-    /// topology supports that does not exceed the machine's available
-    /// parallelism. Equivalent to `NIM_SHARDS=auto` or `--shards auto`.
-    pub fn shards_auto(mut self) -> Self {
-        self.shards = ShardRequest::Auto;
-        self
-    }
-
-    /// Overrides the window executor's spawn threshold and worker count
-    /// (see `Network::set_window_tuning`), disabling the runtime
-    /// calibration. Results are bit-identical for any values; exists so
-    /// tests can force the threaded path onto arbitrarily short windows.
+    /// Accepts and ignores a shard count. The network is one unsharded
+    /// engine; this shim exists only for the frozen `perfbench/`
+    /// benchmark, which still calls `.shards(1)`, and goes in the next
+    /// benchmark change.
     #[doc(hidden)]
-    pub fn window_tuning(mut self, spawn_min: u64, workers: usize) -> Self {
-        self.window_tuning = Some((spawn_min, workers));
+    pub fn shards(self, _n: usize) -> Self {
         self
     }
 
@@ -307,16 +228,8 @@ impl SystemBuilder {
             cluster_cpus[layout.cluster_of(seat.coord).index()] |= 1 << seat.cpu.index();
             cpu_at.insert(seat.coord, seat.cpu);
         }
-        let mut net = Network::new_sharded(
-            &layout,
-            &cfg.network,
-            VerticalMode::Pillars,
-            self.shards.resolve(),
-        );
+        let mut net = Network::new(&layout, &cfg.network, VerticalMode::Pillars);
         net.set_obs(self.obs.clone());
-        if let Some((spawn_min, workers)) = self.window_tuning {
-            net.set_window_tuning(spawn_min, workers);
-        }
         let mut l2 = NucaL2::new(&cfg.l2);
         l2.set_obs(self.obs.clone());
         let mut dir = Directory::new(cfg.num_cpus, WritePolicy::WriteThrough);
@@ -377,7 +290,6 @@ impl SystemBuilder {
             data_flits: cfg.network.data_packet_flits,
             layout,
         };
-        let sharded = fabric.net.shards() > 1;
         Ok(System {
             scheme: self.scheme,
             cfg,
@@ -388,8 +300,6 @@ impl SystemBuilder {
             warmup: self.warmup,
             sample: self.sample,
             prewarm: self.prewarm,
-            skip: self.skip,
-            sharded,
             obs: self.obs,
             knobs: crate::system::RebuildKnobs {
                 vicinity_stop: self.vicinity_stop,

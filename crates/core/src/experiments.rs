@@ -29,7 +29,7 @@ use core::error::Error;
 use core::fmt;
 
 use nim_thermal::{ThermalConfig, ThermalModel};
-use nim_topology::{ChipLayout, Floorplan, PlacementPolicy, ShardPlan};
+use nim_topology::{ChipLayout, Floorplan, PlacementPolicy};
 use nim_types::{PillarPlacement, SystemConfig};
 use nim_workload::BenchmarkProfile;
 
@@ -607,7 +607,7 @@ pub fn sweep_design_space(
 
 // ---------------------------------------------------------------------------
 // Scale sweep — simulator behavior and throughput across the
-// (layers × CPUs × L2 banks × pillar placement × fabric × shards) grid.
+// (layers × CPUs × L2 banks × pillar placement × fabric) grid.
 // ---------------------------------------------------------------------------
 
 /// One cell description of a [`scale_sweep`]: a full topology + substrate
@@ -625,13 +625,11 @@ pub struct ScaleSpec {
     pub placement: PillarPlacement,
     /// Interconnect substrate.
     pub fabric: FabricKind,
-    /// Network shard count (must divide `layers`).
-    pub shards: usize,
 }
 
 impl ScaleSpec {
     /// The paper's default cell: 2 layers, 8 CPUs, 16 MB L2, spread
-    /// pillars, the cycle-accurate fabric, sequential execution.
+    /// pillars, the cycle-accurate fabric.
     pub fn new() -> Self {
         Self {
             layers: 2,
@@ -639,7 +637,6 @@ impl ScaleSpec {
             l2_scale: 1,
             placement: PillarPlacement::Spread,
             fabric: FabricKind::Sim,
-            shards: 1,
         }
     }
 
@@ -647,21 +644,13 @@ impl ScaleSpec {
     #[must_use]
     pub fn label(&self) -> String {
         format!(
-            "layers={} cpus={} l2x{} {} {} shards={}",
+            "layers={} cpus={} l2x{} {} {}",
             self.layers,
             self.cpus,
             self.l2_scale,
             self.placement.name(),
-            self.fabric.name(),
-            self.shards
+            self.fabric.name()
         )
-    }
-
-    /// The same cell with the shard count erased — cells that agree on
-    /// this key must produce bit-identical reports for any shard count.
-    #[must_use]
-    pub fn shard_invariant_key(&self) -> Self {
-        Self { shards: 1, ..*self }
     }
 }
 
@@ -688,8 +677,7 @@ pub struct ScaleCell {
 
 /// Runs one simulation per buildable spec across the configured worker
 /// threads, in spec order. Unbuildable cells (a topology the
-/// configuration rules reject, or a shard count that does not divide
-/// the cell's cluster-row count) come back as `None` so a sweep over a
+/// configuration rules reject) come back as `None` so a sweep over a
 /// coarse grid degrades gracefully; run failures abort the sweep.
 ///
 /// # Errors
@@ -702,26 +690,12 @@ pub fn scale_sweep(
     scale: ExperimentScale,
 ) -> Result<Vec<Option<ScaleCell>>, ExperimentError> {
     par_map(specs, |_, spec| {
-        if spec.shards > 1 {
-            let mut cfg = SystemConfig::default();
-            cfg.network.layers = spec.layers;
-            cfg.network.pillar_placement = spec.placement;
-            match ChipLayout::new(&cfg) {
-                Ok(layout) if ShardPlan::valid_counts(&layout).contains(&spec.shards) => {}
-                // A valid topology that cannot honour the count: skip
-                // the cell rather than silently clamping the request.
-                Ok(_) => return Ok(None),
-                // Unbuildable topology: let build() reject it below.
-                Err(_) => {}
-            }
-        }
         let built = SystemBuilder::new(scheme)
             .layers(spec.layers)
             .cpus(spec.cpus)
             .l2_scale(spec.l2_scale)
             .pillar_placement(spec.placement)
             .fabric(spec.fabric)
-            .shards(spec.shards)
             .seed(scale.seed)
             .warmup_transactions(scale.warmup)
             .sampled_transactions(scale.sample)
@@ -747,26 +721,6 @@ pub fn scale_sweep(
     })
     .into_iter()
     .collect()
-}
-
-/// Checks the sharding invariant over a completed sweep: cells that
-/// differ only in shard count must have identical fingerprints. Returns
-/// the offending pair of labels on violation.
-///
-/// # Errors
-///
-/// Returns `(label_a, label_b)` of the first disagreeing pair.
-pub fn check_shard_invariance(cells: &[ScaleCell]) -> Result<(), (String, String)> {
-    for (i, a) in cells.iter().enumerate() {
-        for b in &cells[i + 1..] {
-            if a.spec.shard_invariant_key() == b.spec.shard_invariant_key()
-                && a.fingerprint != b.fingerprint
-            {
-                return Err((a.spec.label(), b.spec.label()));
-            }
-        }
-    }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -854,34 +808,28 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scale_sweep_skips_bad_cells_and_holds_the_shard_invariant() {
+    fn scale_sweep_skips_unbuildable_cells() {
         let bench = BenchmarkProfile::art();
         let scale = ExperimentScale {
             seed: 42,
             warmup: 50,
             sample: 400,
         };
-        let mk = |layers, fabric, shards| ScaleSpec {
+        let mk = |layers, fabric| ScaleSpec {
             layers,
             fabric,
-            shards,
             ..ScaleSpec::new()
         };
         let specs = [
-            mk(2, FabricKind::Sim, 1),
-            mk(2, FabricKind::Sim, 2),
-            mk(2, FabricKind::Sim, 4), // cluster-row cut, finer than layers
-            mk(2, FabricKind::Sim, 3), // 3 does not divide the 4 cluster rows
-            mk(4, FabricKind::LatencyTable, 1),
-            mk(4, FabricKind::Ideal, 1),
-            mk(16, FabricKind::Sim, 1), // rejected by config validation
+            mk(2, FabricKind::Sim),
+            mk(4, FabricKind::LatencyTable),
+            mk(4, FabricKind::Ideal),
+            mk(16, FabricKind::Sim), // rejected by config validation
         ];
         let cells = scale_sweep(Scheme::CmpDnuca3d, &bench, &specs, scale).expect("sweep runs");
         assert_eq!(cells.len(), specs.len());
         assert!(cells[0].is_some() && cells[1].is_some() && cells[2].is_some());
-        assert!(cells[3].is_none(), "non-divisor shard count is skipped");
-        assert!(cells[4].is_some() && cells[5].is_some());
-        assert!(cells[6].is_none(), "unbuildable topology is skipped");
+        assert!(cells[3].is_none(), "unbuildable topology is skipped");
         let done: Vec<ScaleCell> = cells.into_iter().flatten().collect();
         for c in &done {
             assert!(
@@ -891,10 +839,6 @@ mod tests {
             );
             assert!(c.cycles_per_sec > 0.0, "{}", c.spec.label());
         }
-        // Cells 0-2 differ only in shard count: bit-identical.
-        assert_eq!(done[0].fingerprint, done[1].fingerprint);
-        assert_eq!(done[0].fingerprint, done[2].fingerprint);
-        check_shard_invariance(&done).expect("sharding is invisible");
     }
 
     #[test]

@@ -42,8 +42,8 @@ pub(crate) use nim_noc::{Delivered, TrafficClass};
 /// timed event, claim one shared resource (tag array, data bank, DRAM
 /// channel) and learn when it completes, and reach the observability
 /// handle. Protocol handlers hold no other channel to the outside
-/// world, so swapping the substrate (test double today, sharded
-/// execution tomorrow) cannot change protocol behavior.
+/// world, so swapping the substrate (a test double, or a modeled
+/// fabric) cannot change protocol behavior.
 pub(crate) trait Fabric {
     /// Injects one packet into the interconnect; `token` comes back via
     /// the delivery path when the packet reaches `dst`.
@@ -198,8 +198,8 @@ impl Ord for Modeled {
 
 /// The real fabric: the 3D NoC, the timed-event heap, and the shared
 /// resource timing models, owned together so the run loop in
-/// [`System`](crate::System) can drive phases and fast-forward while
-/// protocol code stays behind the [`Fabric`] trait.
+/// [`System`](crate::System) can drive phases while protocol code stays
+/// behind the [`Fabric`] trait.
 ///
 /// With a [`LatencyModel`] attached, sends bypass the flit-level
 /// network entirely: each packet's delivery is computed analytically at
@@ -259,11 +259,6 @@ impl SimFabric {
     /// under [`FabricKind::Sim`]).
     pub(crate) fn has_modeled(&self) -> bool {
         !self.modeled.is_empty()
-    }
-
-    /// The due cycle of the earliest queued modeled delivery.
-    pub(crate) fn next_modeled_at(&self) -> Option<u64> {
-        self.modeled.peek().map(|Reverse(m)| m.due)
     }
 
     /// Pops the earliest modeled delivery if it is due at or before

@@ -289,7 +289,7 @@ impl RunReport {
     /// not `Debug`-formatted, so cosmetic formatting changes cannot
     /// shift it). Two runs of the same cell must produce the same
     /// fingerprint; the `scale` experiment, the snapshot-equivalence
-    /// suite, and the CI topology/shards matrix gate on it.
+    /// suite, and the CI topology matrix gate on it.
     pub fn fingerprint(&self) -> u64 {
         use std::hash::Hasher as _;
         let mut h = nim_types::FxHasher::default();

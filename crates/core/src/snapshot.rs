@@ -16,19 +16,18 @@
 //!
 //! Snapshots are legal only at *epoch boundaries*: when sampling is on,
 //! the clock must sit exactly on a cycle where a sample row was
-//! recorded (pause with [`System::run_until`], which suppresses horizon
-//! skipping once the stop count is reached and ticks per-cycle to the
-//! next boundary). At such a cycle every in-flight structure is in the
-//! same state the per-cycle loop would have produced, so resuming the
-//! snapshot replays the remainder of the run bit-identically.
+//! recorded (pause with [`System::run_until`], which ticks on to the
+//! next boundary once the stop count is reached). At such a cycle every
+//! in-flight structure is in the same state the uninterrupted loop
+//! holds, so resuming the snapshot replays the remainder of the run
+//! bit-identically.
 //!
 //! Restores always run against a *freshly built* system: the `CFG `
 //! section records the exact build recipe, [`SystemBuilder::resume`]
 //! rebuilds the topology and geometry from it, and the remaining
-//! sections restore only live state into that scaffold. This is what
-//! makes snapshots shard-agnostic — the network serializes per-node
-//! logical state, so a snapshot taken under one `NIM_SHARDS` resumes
-//! bit-identically under any other.
+//! sections restore only live state into that scaffold. The network
+//! serializes per-node logical state, never its flit arena's slot
+//! layout.
 
 use std::path::Path;
 
@@ -124,7 +123,6 @@ impl System {
         w.bool(self.knobs.vicinity_stop);
         w.bool(self.knobs.replication);
         w.bool(self.knobs.edge_memory);
-        w.bool(self.skip);
         w.bool(self.prewarm);
         w.u64(self.seed);
         w.u64(self.warmup);
@@ -414,26 +412,23 @@ impl ResumedRun {
 impl SystemBuilder {
     /// Reconstructs a run mid-flight from a snapshot file.
     ///
-    /// `shards` overrides the shard count of the rebuilt network
-    /// (`None` keeps the `NIM_SHARDS` default) — snapshots serialize
-    /// per-node logical state, so any shard count resumes
-    /// bit-identically.
-    ///
     /// # Errors
     ///
     /// [`SnapshotError::Io`] if the file cannot be read, plus
     /// everything [`SystemBuilder::resume_from`] returns.
-    pub fn resume(
-        path: impl AsRef<Path>,
-        shards: Option<usize>,
-    ) -> Result<ResumedRun, SnapshotError> {
+    pub fn resume(path: impl AsRef<Path>) -> Result<ResumedRun, SnapshotError> {
         let bytes = std::fs::read(path)?;
-        Self::resume_from(&bytes, shards)
+        Self::resume_from(&bytes, None)
     }
 
     /// Reconstructs a run mid-flight from snapshot bytes: rebuilds the
     /// system from the recorded recipe, restores every layer's live
     /// state, and re-positions the workload source.
+    ///
+    /// The `Option<usize>` is ignored: it was a shard count, and the
+    /// parameter exists only for the frozen `perfbench/` benchmark,
+    /// which still passes `Some(1)`. It goes in the next benchmark
+    /// change.
     ///
     /// # Errors
     ///
@@ -441,7 +436,7 @@ impl SystemBuilder {
     /// bytes, [`SnapshotError::Build`] if the recorded configuration no
     /// longer builds, [`SnapshotError::UnknownBenchmark`] if this
     /// binary does not know the recorded benchmark.
-    pub fn resume_from(bytes: &[u8], shards: Option<usize>) -> Result<ResumedRun, SnapshotError> {
+    pub fn resume_from(bytes: &[u8], _shards: Option<usize>) -> Result<ResumedRun, SnapshotError> {
         let mut r = ByteReader::new(bytes);
         r.header()?;
         let recipe = read_cfg(&mut r)?;
@@ -454,7 +449,7 @@ impl SystemBuilder {
             None => Obs::disabled(),
             Some(s) => Obs::new(s.config.clone()),
         };
-        let mut builder = SystemBuilder::new(recipe.scheme)
+        let mut system = SystemBuilder::new(recipe.scheme)
             .config(recipe.cfg)
             .seed(recipe.seed)
             .warmup_transactions(recipe.warmup)
@@ -463,13 +458,9 @@ impl SystemBuilder {
             .vicinity_stop(recipe.vicinity_stop)
             .replication(recipe.replication)
             .edge_memory_controllers(recipe.edge_memory)
-            .horizon_skipping(recipe.skip)
             .fabric(recipe.fabric)
-            .observability(obs.clone());
-        if let Some(n) = shards {
-            builder = builder.shards(n);
-        }
-        let mut system = builder.build()?;
+            .observability(obs.clone())
+            .build()?;
 
         read_engine(&mut r, &mut system)?;
         let mut sec = r.section(SEC_FABR, V_FABR)?;
@@ -520,7 +511,6 @@ struct Recipe {
     vicinity_stop: bool,
     replication: bool,
     edge_memory: bool,
-    skip: bool,
     prewarm: bool,
     seed: u64,
     warmup: u64,
@@ -536,7 +526,6 @@ fn read_cfg(r: &mut ByteReader<'_>) -> Result<Recipe, CodecError> {
     let vicinity_stop = r.bool()?;
     let replication = r.bool()?;
     let edge_memory = r.bool()?;
-    let skip = r.bool()?;
     let prewarm = r.bool()?;
     let seed = r.u64()?;
     let warmup = r.u64()?;
@@ -583,7 +572,6 @@ fn read_cfg(r: &mut ByteReader<'_>) -> Result<Recipe, CodecError> {
         vicinity_stop,
         replication,
         edge_memory,
-        skip,
         prewarm,
         seed,
         warmup,

@@ -8,9 +8,8 @@
 //! ([`fabric`](crate::fabric) — the 3D NoC, the timed-event heap, and
 //! the contention models of [`timing`](crate::timing)). The driver owns
 //! the clock: it advances everything in lock-step one cycle at a time,
-//! feeds due events and delivered packets to the engine, ticks the
-//! cores, and fast-forwards through quiet stretches without losing
-//! cycle accuracy. Assembly lives in [`SystemBuilder`].
+//! feeds due events and delivered packets to the engine, and ticks the
+//! cores. Assembly lives in [`SystemBuilder`].
 //!
 //! [`SystemBuilder`]: crate::SystemBuilder
 
@@ -20,7 +19,7 @@ use nim_cpu::{CoreAction, InOrderCore};
 use nim_noc::Network;
 use nim_obs::Obs;
 use nim_topology::{ChipLayout, CpuSeat};
-use nim_types::{ClusterId, CpuId, Cycle, SystemConfig};
+use nim_types::{ClusterId, CpuId, SystemConfig};
 use nim_workload::{BenchmarkProfile, TraceGenerator, TraceSource};
 
 use crate::error::RunError;
@@ -107,14 +106,6 @@ pub struct System {
     pub(crate) warmup: u64,
     pub(crate) sample: u64,
     pub(crate) prewarm: bool,
-    /// Dead-cycle elision enabled (see [`SystemBuilder::horizon_skipping`]).
-    ///
-    /// [`SystemBuilder::horizon_skipping`]: crate::SystemBuilder::horizon_skipping
-    pub(crate) skip: bool,
-    /// The network was cut into more than one shard (see
-    /// [`SystemBuilder::shards`](crate::SystemBuilder::shards)); enables
-    /// the multi-threaded window path in the run loop.
-    pub(crate) sharded: bool,
     pub(crate) obs: Obs,
     /// Build-recipe knobs recorded for snapshots (see [`RebuildKnobs`]).
     pub(crate) knobs: RebuildKnobs,
@@ -200,11 +191,6 @@ impl System {
     /// epoch boundary when sampling is on), or to completion, whichever
     /// comes first. Returns `Some(report)` when the run finished, and
     /// `None` when it paused — the system is then snapshot-legal.
-    ///
-    /// While a pause is pending the loop suppresses horizon skipping
-    /// and shard windows and ticks cycle by cycle (bit-identical by the
-    /// skip-equivalence invariant), so the boundary cycle is reached
-    /// and sampled exactly as the uninterrupted loop would.
     ///
     /// # Errors
     ///
@@ -319,27 +305,20 @@ impl System {
         // engine consumes it. The network never appends to the list the
         // engine is iterating, so the engine's drain could overlap the
         // next network phase without reordering deliveries — they stay
-        // in deterministic (cycle, shard-order) sequence either way.
+        // in deterministic (cycle, node) sequence either way.
         let mut incoming = Vec::new();
         let mut serving: Vec<nim_noc::Delivered> = Vec::new();
-        // Set once `stop_after` is reached: skipping is suppressed (per-
-        // cycle ticking is bit-identical by the skip-equivalence
-        // invariant) so the next epoch boundary is ticked and sampled
-        // exactly, making it a legal snapshot point.
-        let mut stopping = false;
         let result = loop {
             if self.engine.counters.l2_transactions >= target {
                 break Ok(true);
             }
-            if let Some(stop) = stop_after {
-                if self.engine.counters.l2_transactions >= stop {
-                    stopping = true;
-                    if self.obs.sample_every() == 0
-                        || self.obs.last_sample_cycle() == Some(self.fabric.net.now().0)
-                    {
-                        break Ok(false);
-                    }
-                }
+            // Pause only on a snapshot-legal cycle: sampling off, or a
+            // sample row recorded at this very cycle.
+            if stop_after.is_some_and(|stop| self.engine.counters.l2_transactions >= stop)
+                && (self.obs.sample_every() == 0
+                    || self.obs.last_sample_cycle() == Some(self.fabric.net.now().0))
+            {
+                break Ok(false);
             }
             // A dried-up trace (every core halted) with nothing in flight
             // can never make progress; report it without spinning the
@@ -360,12 +339,6 @@ impl System {
                     cycle: self.fabric.net.now().0,
                     completed: self.engine.counters.l2_transactions,
                 });
-            }
-            if !stopping {
-                self.try_fast_forward();
-                if self.sharded {
-                    self.try_shard_window();
-                }
             }
             self.fabric.net.tick();
             let now = self.fabric.net.now();
@@ -463,9 +436,8 @@ impl System {
         values.push(self.engine.counters.migrations as f64);
         values.push(net.packets_delivered as f64);
         values.push(net.flit_hops as f64);
-        // Cumulative phase buckets. These move only when a transaction
-        // completes — a delivery or timed event, never a dead cycle —
-        // so the columns stay bit-identical under horizon skipping.
+        // Cumulative phase buckets; these move only when a transaction
+        // completes.
         values.extend(self.engine.counters.phase_cycles().map(|c| c as f64));
         self.obs
             .record_sample_cols(now, &self.sample_buf.names, &self.sample_buf.values);
@@ -513,17 +485,6 @@ impl System {
         self.obs.counter_set("net/bus_transfers", net.bus_transfers);
         self.obs
             .histogram_set("net/latency_cycles", net.latency_histogram.clone());
-        // Window-executor diagnostics. These vary with shard count and
-        // thread availability, so they live only here — never in the
-        // [`RunReport`], whose contents are compared bit-for-bit across
-        // shard counts.
-        let ws = self.fabric.net.window_stats();
-        self.obs.counter_set("net/window/windows", ws.windows);
-        self.obs.counter_set("net/window/cycles", ws.cycles);
-        self.obs.counter_set("net/window/spawned", ws.spawned);
-        self.obs.counter_set("net/window/inline", ws.inline);
-        self.obs
-            .counter_set("net/window/spawn_min", self.fabric.net.window_spawn_min());
         let l2 = self.engine.l2.stats();
         self.obs.counter_set("l2/insertions", l2.insertions);
         self.obs.counter_set("l2/evictions", l2.evictions);
@@ -551,130 +512,5 @@ impl System {
         }
         self.obs
             .gauge_set("sim/cycles_per_sec", self.obs.cycles_per_sec());
-    }
-
-    /// Batch-advances the clock through a span it can prove is dead:
-    /// every core is mid-gap, halted, or waiting on memory
-    /// ([`InOrderCore::next_wakeup`]), no timed event comes due, and the
-    /// network's own horizon ([`Network::next_event_at`]) says no phase
-    /// would fire — even with traffic still buffered in flight. The skip
-    /// lands one cycle *before* the earliest of the three horizons, so
-    /// the very next `tick` replays exactly the cycle the naive loop
-    /// would have reached. Core wakeups are checked first because they
-    /// are the cheapest bound and, under steady load, the one that is
-    /// almost always zero.
-    fn try_fast_forward(&mut self) {
-        if !self.skip || self.fabric.net.has_deliveries() {
-            return;
-        }
-        let core_bound = self
-            .engine
-            .cores
-            .iter()
-            .map(|c| match c.next_wakeup() {
-                u64::MAX => u64::MAX,
-                wake => wake - 1,
-            })
-            .min()
-            .unwrap_or(0);
-        if core_bound == 0 {
-            return;
-        }
-        let now = self.fabric.net.now().0;
-        let event_bound = match self.fabric.events.peek() {
-            Some(&Reverse((due, _, _))) => due.saturating_sub(now + 1),
-            None => u64::MAX,
-        };
-        if event_bound == 0 {
-            return;
-        }
-        let net_bound = match self.fabric.net.next_event_at() {
-            Some(t) => t.0 - (now + 1),
-            None => u64::MAX,
-        };
-        let modeled_bound = match self.fabric.next_modeled_at() {
-            Some(due) => due.saturating_sub(now + 1),
-            None => u64::MAX,
-        };
-        let delta = core_bound
-            .min(event_bound)
-            .min(net_bound)
-            .min(modeled_bound);
-        if delta == 0 || delta == u64::MAX {
-            // Either something needs attention next cycle, or everything
-            // is blocked with no pending horizon (the watchdog will catch
-            // a genuine deadlock).
-            return;
-        }
-        for core in &mut self.engine.cores {
-            core.skip(delta);
-        }
-        self.fabric.net.advance_to(Cycle(now + delta));
-        self.replay_skipped_samples(now + delta);
-    }
-
-    /// Advances the sharded network concurrently through a window where
-    /// nothing outside it can act: every core is mid-gap or waiting
-    /// ([`InOrderCore::next_wakeup`]), no timed event comes due, and no
-    /// sample boundary is crossed (sampled columns like `net/flit_hops`
-    /// *do* move inside a window, unlike in a dead span, so the window
-    /// is capped strictly before the next boundary). Within those caps
-    /// the network decides how far it can safely run from its own
-    /// pillar-grant horizon ([`Network::advance_window`]) and advances
-    /// bit-identically to ticking; the cores then batch-skip the same
-    /// span. Runs right after [`System::try_fast_forward`], picking up
-    /// traffic-heavy stretches that dead-span elision cannot touch.
-    fn try_shard_window(&mut self) {
-        if !self.skip || self.fabric.net.has_deliveries() {
-            return;
-        }
-        let core_bound = self
-            .engine
-            .cores
-            .iter()
-            .map(|c| match c.next_wakeup() {
-                u64::MAX => u64::MAX,
-                wake => wake - 1,
-            })
-            .min()
-            .unwrap_or(0);
-        if core_bound == 0 {
-            return;
-        }
-        let now = self.fabric.net.now().0;
-        let mut end = now.saturating_add(core_bound);
-        if let Some(&Reverse((due, _, _))) = self.fabric.events.peek() {
-            end = end.min(due - 1);
-        }
-        if let Some(due) = self.fabric.next_modeled_at() {
-            end = end.min(due.saturating_sub(1));
-        }
-        if let Some(boundary) = self.obs.next_sample_at() {
-            end = end.min(boundary.saturating_sub(1));
-        }
-        if end <= now {
-            return;
-        }
-        let advanced = self.fabric.net.advance_window(end);
-        if advanced > 0 {
-            for core in &mut self.engine.cores {
-                core.skip(advanced);
-            }
-        }
-    }
-
-    /// The naive loop records a sample row at every armed boundary it
-    /// ticks across; replay those rows after a dead-span skip so the
-    /// sampler output is bit-identical. No sampled column changes inside
-    /// a dead span, so each catch-up row carries the same values the
-    /// per-cycle loop would have snapshotted. (Shard windows never need
-    /// this: they are capped strictly before the next boundary.)
-    fn replay_skipped_samples(&mut self, to: u64) {
-        while let Some(boundary) = self.obs.next_sample_at() {
-            if boundary > to {
-                break;
-            }
-            self.record_obs_sample(boundary);
-        }
     }
 }

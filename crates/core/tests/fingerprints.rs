@@ -13,7 +13,7 @@ use std::hash::Hasher as _;
 
 use nim_core::{Scheme, SystemBuilder};
 use nim_obs::{Obs, ObsConfig};
-use nim_types::FxHasher;
+use nim_types::{FxHasher, SystemConfig};
 use nim_workload::BenchmarkProfile;
 
 /// One recorded cell: scheme, benchmark, extension knobs, digest.
@@ -22,15 +22,19 @@ struct Cell {
     benchmark: &'static str,
     replication: bool,
     edge_memory: bool,
+    /// A 32-bit bus serialises each 128-bit flit over 4 cycles, so
+    /// packets spend long stretches in flight on the pillars.
+    narrow_bus: bool,
     digest: u64,
 }
 
-const CELLS: [Cell; 6] = [
+const CELLS: [Cell; 8] = [
     Cell {
         scheme: Scheme::CmpDnuca,
         benchmark: "art",
         replication: false,
         edge_memory: false,
+        narrow_bus: false,
         digest: 0x0ee7_c86c_4fe6_2387,
     },
     Cell {
@@ -38,6 +42,7 @@ const CELLS: [Cell; 6] = [
         benchmark: "art",
         replication: false,
         edge_memory: false,
+        narrow_bus: false,
         digest: 0x2c6a_1a7a_85f4_e914,
     },
     Cell {
@@ -45,6 +50,7 @@ const CELLS: [Cell; 6] = [
         benchmark: "art",
         replication: false,
         edge_memory: false,
+        narrow_bus: false,
         digest: 0x8df6_94aa_7ffe_8b04,
     },
     Cell {
@@ -52,6 +58,7 @@ const CELLS: [Cell; 6] = [
         benchmark: "art",
         replication: false,
         edge_memory: false,
+        narrow_bus: false,
         digest: 0x18b1_8f4e_0855_283e,
     },
     // Extension paths: replication and edge memory controllers ride the
@@ -61,6 +68,7 @@ const CELLS: [Cell; 6] = [
         benchmark: "swim",
         replication: true,
         edge_memory: false,
+        narrow_bus: false,
         digest: 0xf829_379c_7dd2_84a9,
     },
     Cell {
@@ -68,7 +76,27 @@ const CELLS: [Cell; 6] = [
         benchmark: "swim",
         replication: false,
         edge_memory: true,
+        narrow_bus: false,
         digest: 0x2449_2d76_1062_62e2,
+    },
+    // Narrow-bus cells: bus serialisation keeps traffic in flight for
+    // many cycles at a time, which stresses the per-cycle bus/router
+    // bookkeeping rather than only idle gaps.
+    Cell {
+        scheme: Scheme::CmpSnuca3d,
+        benchmark: "art",
+        replication: false,
+        edge_memory: false,
+        narrow_bus: true,
+        digest: 0x0203_65e9_c70c_f2fe,
+    },
+    Cell {
+        scheme: Scheme::CmpDnuca3d,
+        benchmark: "swim",
+        replication: false,
+        edge_memory: false,
+        narrow_bus: true,
+        digest: 0x3874_456c_3338_91d1,
     },
 ];
 
@@ -85,7 +113,12 @@ fn digest_of(cell: &Cell) -> u64 {
         sample_every: 2_000,
         ..ObsConfig::default()
     });
+    let mut cfg = SystemConfig::default();
+    if cell.narrow_bus {
+        cfg.network.bus_width_bits = 32;
+    }
     let mut sys = SystemBuilder::new(cell.scheme)
+        .config(cfg)
         .seed(42)
         .warmup_transactions(50)
         .sampled_transactions(400)
@@ -129,16 +162,22 @@ fn run_fingerprints_match_the_recorded_pre_refactor_values() {
         // to re-record after an *intentional* behavior change.
         if std::env::var_os("NIM_RECORD_FP").is_some() {
             eprintln!(
-                "RECORD {:?}/{}/repl={}/edge_mc={} 0x{got:016x}",
-                cell.scheme, cell.benchmark, cell.replication, cell.edge_memory
+                "RECORD {:?}/{}/repl={}/edge_mc={}/narrow_bus={} 0x{got:016x}",
+                cell.scheme, cell.benchmark, cell.replication, cell.edge_memory, cell.narrow_bus
             );
             continue;
         }
         assert_eq!(
-            got, cell.digest,
-            "{:?}/{}/repl={}/edge_mc={}: fingerprint 0x{got:016x} diverged from \
-             the recorded pre-refactor digest 0x{:016x}",
-            cell.scheme, cell.benchmark, cell.replication, cell.edge_memory, cell.digest
+            got,
+            cell.digest,
+            "{:?}/{}/repl={}/edge_mc={}/narrow_bus={}: fingerprint 0x{got:016x} \
+             diverged from the recorded digest 0x{:016x}",
+            cell.scheme,
+            cell.benchmark,
+            cell.replication,
+            cell.edge_memory,
+            cell.narrow_bus,
+            cell.digest
         );
     }
 }

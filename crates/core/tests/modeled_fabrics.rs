@@ -6,19 +6,17 @@
 //!
 //! The flit-exact validation of the underlying zero-load model lives in
 //! `nim-noc`'s `fabric_equivalence` test; this file covers the system
-//! integration: delivery scheduling, stall detection, and horizon
-//! skipping over modeled deliveries.
+//! integration: delivery scheduling and stall detection.
 
 use nim_core::{FabricKind, RunReport, Scheme, SystemBuilder};
 use nim_workload::BenchmarkProfile;
 
-fn run(kind: FabricKind, skip: bool) -> RunReport {
+fn run(kind: FabricKind) -> RunReport {
     let mut sys = SystemBuilder::new(Scheme::CmpDnuca3d)
         .seed(42)
         .warmup_transactions(50)
         .sampled_transactions(400)
         .fabric(kind)
-        .horizon_skipping(skip)
         .build()
         .expect("system builds");
     sys.run(&BenchmarkProfile::art()).expect("run completes")
@@ -27,7 +25,7 @@ fn run(kind: FabricKind, skip: bool) -> RunReport {
 #[test]
 fn modeled_fabrics_complete_whole_runs() {
     for kind in [FabricKind::LatencyTable, FabricKind::Ideal] {
-        let report = run(kind, true);
+        let report = run(kind);
         assert_eq!(report.counters.l2_transactions, 400, "{kind}");
         assert!(report.cycles > 0, "{kind}");
         // Traffic bypasses the flit-level network entirely, so its
@@ -40,8 +38,8 @@ fn modeled_fabrics_complete_whole_runs() {
 
 #[test]
 fn ideal_fabric_is_no_slower_than_the_latency_table() {
-    let table = run(FabricKind::LatencyTable, true);
-    let ideal = run(FabricKind::Ideal, true);
+    let table = run(FabricKind::LatencyTable);
+    let ideal = run(FabricKind::Ideal);
     // The latency-table fabric only ever *adds* pillar serialisation
     // delay on top of the shared zero-load costs.
     assert!(
@@ -54,7 +52,7 @@ fn ideal_fabric_is_no_slower_than_the_latency_table() {
 
 #[test]
 fn sim_fabric_still_simulates_flits() {
-    let report = run(FabricKind::Sim, true);
+    let report = run(FabricKind::Sim);
     assert!(report.network.packets_delivered > 0);
     assert!(report.network.flit_hops > 0);
 }
@@ -62,26 +60,9 @@ fn sim_fabric_still_simulates_flits() {
 #[test]
 fn modeled_runs_are_deterministic() {
     for kind in [FabricKind::LatencyTable, FabricKind::Ideal] {
-        let a = run(kind, true).fingerprint();
-        let b = run(kind, true).fingerprint();
+        let a = run(kind).fingerprint();
+        let b = run(kind).fingerprint();
         assert_eq!(a, b, "{kind} not deterministic");
-    }
-}
-
-#[test]
-fn horizon_skipping_is_invisible_under_modeled_fabrics() {
-    // The fast-forward and shard-window bounds must treat a pending
-    // modeled delivery exactly like a network event: skipping may elide
-    // only cycles in which nothing observable happens.
-    for kind in [FabricKind::LatencyTable, FabricKind::Ideal] {
-        let skipped = run(kind, true);
-        let naive = run(kind, false);
-        assert_eq!(
-            skipped.fingerprint(),
-            naive.fingerprint(),
-            "{kind} diverges under horizon skipping"
-        );
-        assert_eq!(skipped.cycles, naive.cycles, "{kind}");
     }
 }
 

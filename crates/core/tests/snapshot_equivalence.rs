@@ -1,7 +1,7 @@
-//! The tentpole invariant of ISSUE 10: snapshot at an epoch boundary +
-//! resume must be **byte-identical** to the uninterrupted run — same
-//! report fingerprint, same hit-matrix metrics, same sample rows, same
-//! trace suffix — for every scheme, topology, shard count, and fabric.
+//! Snapshot at an epoch boundary + resume must be **byte-identical** to
+//! the uninterrupted run — same report fingerprint, same hit-matrix
+//! metrics, same sample rows, same trace suffix — for every scheme,
+//! topology, and fabric.
 //!
 //! Any simulator field missed by a `Checkpoint` impl shows up here as a
 //! fingerprint divergence, which is exactly what forces the state tree
@@ -25,37 +25,24 @@ const STOP_AT: u64 = 300;
 struct Cell {
     scheme: Scheme,
     layers: u8,
-    shards: usize,
     fabric: FabricKind,
-    /// Shard count the resumed half runs under (the snapshot must be
-    /// shard-agnostic).
-    resume_shards: Option<usize>,
 }
 
 impl Cell {
-    fn new(scheme: Scheme, layers: u8, shards: usize, fabric: FabricKind) -> Self {
+    fn new(scheme: Scheme, layers: u8, fabric: FabricKind) -> Self {
         Self {
             scheme,
             layers,
-            shards,
             fabric,
-            resume_shards: None,
         }
-    }
-
-    fn resume_under(mut self, shards: usize) -> Self {
-        self.resume_shards = Some(shards);
-        self
     }
 
     fn label(&self) -> String {
         format!(
-            "{} layers={} shards={} fabric={} resume_shards={:?}",
+            "{} layers={} fabric={}",
             self.scheme.label(),
             self.layers,
-            self.shards,
-            self.fabric.name(),
-            self.resume_shards
+            self.fabric.name()
         )
     }
 
@@ -68,7 +55,6 @@ impl Cell {
         });
         SystemBuilder::new(self.scheme)
             .layers(self.layers)
-            .shards(self.shards)
             .fabric(self.fabric)
             .seed(SEED)
             .warmup_transactions(WARMUP)
@@ -80,9 +66,8 @@ impl Cell {
 }
 
 /// Everything the equivalence bar compares, captured from one finished
-/// run. Wall-clock fields (`SampleRow::wall_secs`, `sim/cycles_per_sec`,
-/// `net/window/*`) are excluded: they measure host speed, not simulated
-/// behavior.
+/// run. Wall-clock fields (`SampleRow::wall_secs`, `sim/cycles_per_sec`)
+/// are excluded: they measure host speed, not simulated behavior.
 #[derive(Debug, PartialEq)]
 struct Observed {
     fingerprint: u64,
@@ -102,7 +87,7 @@ fn observe(system: &System, fingerprint: u64, suffix_from: u64) -> Observed {
         .metrics_state()
         .expect("obs enabled")
         .into_iter()
-        .filter(|(name, _)| !name.starts_with("net/window/") && !name.starts_with("sim/"))
+        .filter(|(name, _)| !name.starts_with("sim/"))
         .collect();
     Observed {
         fingerprint,
@@ -137,8 +122,7 @@ fn assert_cell_equivalence(cell: Cell) {
     // one cycle past it.
     let suffix_from = snap_cycle + 1;
 
-    let mut resumed =
-        SystemBuilder::resume_from(&bytes, cell.resume_shards).expect("snapshot resumes");
+    let mut resumed = SystemBuilder::resume_from(&bytes, None).expect("snapshot resumes");
     assert_eq!(resumed.benchmark(), profile.name);
     let report = resumed.finish().expect("resumed run finishes");
     let interrupted = observe(resumed.system(), report.fingerprint(), suffix_from);
@@ -163,25 +147,21 @@ fn assert_cell_equivalence(cell: Cell) {
 }
 
 #[test]
-fn snapshot_resume_is_bit_identical_across_schemes_topologies_shards_and_fabrics() {
+fn snapshot_resume_is_bit_identical_across_topologies_and_fabrics() {
     let cells = [
         // All four schemes at the paper's default topology.
-        Cell::new(Scheme::CmpDnuca, 2, 1, FabricKind::Sim),
-        Cell::new(Scheme::CmpDnuca2d, 2, 1, FabricKind::Sim),
-        Cell::new(Scheme::CmpSnuca3d, 2, 1, FabricKind::Sim),
-        Cell::new(Scheme::CmpDnuca3d, 2, 1, FabricKind::Sim),
+        Cell::new(Scheme::CmpDnuca, 2, FabricKind::Sim),
+        Cell::new(Scheme::CmpDnuca2d, 2, FabricKind::Sim),
+        Cell::new(Scheme::CmpSnuca3d, 2, FabricKind::Sim),
+        Cell::new(Scheme::CmpDnuca3d, 2, FabricKind::Sim),
         // Taller stacks.
-        Cell::new(Scheme::CmpSnuca3d, 4, 1, FabricKind::Sim),
-        Cell::new(Scheme::CmpDnuca3d, 8, 1, FabricKind::Sim),
-        // Sharded runs, including snapshot-under-one-count,
-        // resume-under-another (the shard-agnostic bar).
-        Cell::new(Scheme::CmpDnuca3d, 2, 2, FabricKind::Sim),
-        Cell::new(Scheme::CmpDnuca3d, 4, 64, FabricKind::Sim), // clamped to max
-        Cell::new(Scheme::CmpDnuca3d, 2, 1, FabricKind::Sim).resume_under(4),
-        Cell::new(Scheme::CmpSnuca3d, 8, 2, FabricKind::Sim).resume_under(1),
+        Cell::new(Scheme::CmpSnuca3d, 4, FabricKind::Sim),
+        Cell::new(Scheme::CmpDnuca3d, 4, FabricKind::Sim),
+        Cell::new(Scheme::CmpSnuca3d, 8, FabricKind::Sim),
+        Cell::new(Scheme::CmpDnuca3d, 8, FabricKind::Sim),
         // Modeled fabrics.
-        Cell::new(Scheme::CmpDnuca3d, 2, 1, FabricKind::LatencyTable),
-        Cell::new(Scheme::CmpSnuca3d, 4, 1, FabricKind::Ideal),
+        Cell::new(Scheme::CmpDnuca3d, 2, FabricKind::LatencyTable),
+        Cell::new(Scheme::CmpSnuca3d, 4, FabricKind::Ideal),
     ];
     for cell in cells {
         assert_cell_equivalence(cell);
@@ -190,7 +170,7 @@ fn snapshot_resume_is_bit_identical_across_schemes_topologies_shards_and_fabrics
 
 #[test]
 fn resumed_runs_can_pause_and_snapshot_again() {
-    let cell = Cell::new(Scheme::CmpDnuca3d, 2, 1, FabricKind::Sim);
+    let cell = Cell::new(Scheme::CmpDnuca3d, 2, FabricKind::Sim);
     let mut system = cell.build();
     let profile = BenchmarkProfile::synthetic();
     let mut gen = system.begin(&profile);
@@ -242,7 +222,7 @@ fn warmup_forked_cells_match_cold_started_cells() {
 // ---------------------------------------------------------------------------
 
 fn valid_snapshot() -> Vec<u8> {
-    let mut system = Cell::new(Scheme::CmpDnuca3d, 2, 1, FabricKind::Sim).build();
+    let mut system = Cell::new(Scheme::CmpDnuca3d, 2, FabricKind::Sim).build();
     let mut gen = system.begin(&BenchmarkProfile::synthetic());
     assert!(system
         .run_until(&mut gen, STOP_AT)
@@ -303,16 +283,20 @@ fn corrupted_snapshots_fail_with_a_typed_error() {
 
 #[test]
 fn version_mismatched_snapshots_fail_with_a_typed_error() {
-    let mut bytes = valid_snapshot();
-    // The u16 after the 8-byte magic is the global snapshot version.
-    bytes[8] = 0xFF;
-    bytes[9] = 0xFF;
-    match SystemBuilder::resume_from(&bytes, None) {
-        Err(SnapshotError::Codec(nim_types::codec::CodecError::UnsupportedVersion {
-            found,
-            ..
-        })) => assert_eq!(found, 0xFFFF),
-        other => panic!("version skew must fail with UnsupportedVersion, got {other:?}"),
+    let valid = valid_snapshot();
+    // A future version, and version 1 — whose `CFG ` section still
+    // carried a removed byte, so the layout is incompatible.
+    for version in [0xFFFF_u16, 1] {
+        let mut bytes = valid.clone();
+        // The u16 after the 8-byte magic is the global snapshot version.
+        bytes[8..10].copy_from_slice(&version.to_le_bytes());
+        match SystemBuilder::resume_from(&bytes, None) {
+            Err(SnapshotError::Codec(nim_types::codec::CodecError::UnsupportedVersion {
+                found,
+                ..
+            })) => assert_eq!(found, version),
+            other => panic!("version skew must fail with UnsupportedVersion, got {other:?}"),
+        }
     }
 }
 
@@ -336,7 +320,7 @@ fn unknown_benchmarks_fail_with_a_typed_error() {
 #[test]
 fn snapshot_legality_is_enforced() {
     let profile = BenchmarkProfile::synthetic();
-    let cell = Cell::new(Scheme::CmpDnuca3d, 2, 1, FabricKind::Sim);
+    let cell = Cell::new(Scheme::CmpDnuca3d, 2, FabricKind::Sim);
 
     // No run in progress.
     let system = cell.build();

@@ -310,65 +310,6 @@ impl InOrderCore {
             AccessKind::Read | AccessKind::Write => self.l1d.fill(addr),
         }
     }
-
-    /// How many cycles this core can be fast-forwarded without any
-    /// external interaction: the remaining burst length when computing,
-    /// `u64::MAX` when blocked on the memory system (something else
-    /// bounds the skip), and 0 when it must consult the trace or issue.
-    pub fn skippable_cycles(&self) -> u64 {
-        match self.state {
-            State::Gap { left, .. } => u64::from(left.saturating_sub(1)),
-            State::L1Busy { left } => u64::from(left.saturating_sub(1)),
-            State::WaitingData { .. } => u64::MAX,
-            State::Halted => u64::MAX,
-            State::NeedOp | State::MemReady { .. } | State::StoreBlocked { .. } => 0,
-        }
-    }
-
-    /// Relative cycle offset of the next tick this core actually needs:
-    /// `1` when it must be ticked next cycle, `skippable_cycles() + 1`
-    /// while computing through a burst, and `u64::MAX` when it wakes only
-    /// on external input (halted, or blocked on the memory system). The
-    /// driver loop fuses this with the network horizon and its event heap
-    /// to find the next cycle anything in the system acts.
-    pub fn next_wakeup(&self) -> u64 {
-        match self.skippable_cycles() {
-            u64::MAX => u64::MAX,
-            s => s + 1,
-        }
-    }
-
-    /// Fast-forwards `n` cycles (callers must respect
-    /// [`skippable_cycles`](Self::skippable_cycles)).
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug) if the skip would cross an interaction point.
-    pub fn skip(&mut self, n: u64) {
-        if n == 0 {
-            return;
-        }
-        debug_assert!(n <= self.skippable_cycles());
-        match &mut self.state {
-            State::Gap { left, .. } => {
-                *left -= n as u32;
-                self.stats.instructions += n;
-                self.stats.cycles += n;
-            }
-            State::L1Busy { left } => {
-                *left -= n as u32;
-                self.stats.cycles += n;
-            }
-            State::WaitingData { .. } => {
-                self.stats.data_stall_cycles += n;
-                self.stats.cycles += n;
-            }
-            State::Halted => {}
-            State::NeedOp | State::MemReady { .. } | State::StoreBlocked { .. } => {
-                unreachable!("checked above")
-            }
-        }
-    }
 }
 
 fn save_kind(w: &mut ByteWriter, kind: AccessKind) {
@@ -606,42 +547,6 @@ mod tests {
             matches!(act, CoreAction::Request(_)),
             "invalidate made it miss again"
         );
-    }
-
-    #[test]
-    fn skip_preserves_instruction_accounting() {
-        let mut core = core();
-        let mut ops = vec![op(50, AccessKind::Write, 0)].into_iter();
-        core.tick(&mut || ops.next()); // enters the gap, retires 1
-        let skippable = core.skippable_cycles();
-        assert_eq!(skippable, 48, "49 left, keep 1 for the transition tick");
-        core.skip(skippable);
-        assert_eq!(core.stats().instructions, 49);
-        assert_eq!(core.stats().cycles, 49);
-        // Finish normally.
-        let mut done = false;
-        for _ in 0..5 {
-            if matches!(core.tick(&mut || ops.next()), CoreAction::Request(_)) {
-                done = true;
-                break;
-            }
-        }
-        assert!(done, "store issues after the gap completes");
-        assert_eq!(core.stats().instructions, 51);
-    }
-
-    #[test]
-    fn next_wakeup_mirrors_skippable_cycles() {
-        let mut core = core();
-        assert_eq!(core.next_wakeup(), 1, "fresh core must be ticked");
-        let mut ops = vec![op(50, AccessKind::Write, 0)].into_iter();
-        core.tick(&mut || ops.next()); // enters the gap
-        assert_eq!(core.next_wakeup(), 49, "acts on the transition tick");
-        let mut none = || None;
-        while !core.is_halted() {
-            core.tick(&mut none);
-        }
-        assert_eq!(core.next_wakeup(), u64::MAX, "halted cores never wake");
     }
 
     #[test]

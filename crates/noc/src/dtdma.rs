@@ -13,10 +13,9 @@
 //! bus arbiter moves them interface → destination layer's pillar router.
 //!
 //! The interface buffers themselves live in
-//! [`Network`](crate::network::Network), grouped by the shard that owns
-//! their layer, so a shard can fill its own interfaces without touching
-//! any other shard's state; [`DtdmaBus`] keeps only the arbiter state
-//! (round-robin pointer, statistics) that the sequential bus phase owns.
+//! [`Network`](crate::network::Network), indexed `bus * layers + layer`;
+//! [`DtdmaBus`] keeps only the arbiter state (round-robin pointer,
+//! statistics) that the bus phase owns.
 
 use nim_types::PillarId;
 

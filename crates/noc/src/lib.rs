@@ -52,7 +52,7 @@ mod vc;
 
 pub use dtdma::BusStats;
 pub use latency::{zero_load_path, ZeroLoadPath};
-pub use network::{Network, WindowStats};
+pub use network::Network;
 pub use packet::{Delivered, FlitKind, SendRequest, TrafficClass};
 pub use routing::VerticalMode;
 pub use stats::{LatencyHistogram, NetworkStats};

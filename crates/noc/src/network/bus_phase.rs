@@ -3,13 +3,9 @@
 //! Runs first each tick, so a flit granted the bus (stamped
 //! `arrived == now`) cannot also traverse a router in the same cycle.
 //!
-//! Unlike the router and injection phases, a bus grant moves a flit
-//! *between* layers — out of the sending layer's transceiver interface
-//! (owned by the shard of that layer's pillar node) into the
-//! destination layer's pillar router (in general owned by another
-//! shard). The bus phase therefore always runs sequentially, at ticks
-//! and at window barriers; bus-grant latency is part of the
-//! conservative lookahead the window planner exploits.
+//! A bus grant moves a flit *between* layers: out of the sending
+//! layer's transceiver interface into the destination layer's pillar
+//! router.
 
 use nim_obs::{Category, EventData};
 use nim_types::{Coord, Cycle, Dir};
@@ -47,11 +43,10 @@ impl Network {
         let layers = self.layout.layers() as usize;
         let mut eligible = 0u64;
         for layer in 0..self.layout.layers() {
-            let (s, i) = self.iface_pos(b, layer);
-            let st = &self.shards[s];
-            if st.ifaces[i]
+            let i = self.iface_ix(b, layer);
+            if self.ifaces[i]
                 .q
-                .front(&st.arena)
+                .front(&self.arena)
                 .is_some_and(|f| f.arrived < now)
             {
                 eligible += 1;
@@ -63,11 +58,8 @@ impl Network {
         let rr = self.buses[b].rr;
         for off in 0..layers {
             let i = (rr + off) % layers;
-            let (src_shard, src_iface) = self.iface_pos(b, i as u8);
-            let front = {
-                let st = &self.shards[src_shard];
-                st.ifaces[src_iface].q.front(&st.arena).copied()
-            };
+            let src_iface = self.iface_ix(b, i as u8);
+            let front = self.ifaces[src_iface].q.front(&self.arena).copied();
             let Some(front) = front else {
                 continue;
             };
@@ -83,7 +75,7 @@ impl Network {
             let vc_sel = if front.kind.is_head() {
                 port.free_vc()
             } else {
-                self.shards[src_shard].ifaces[src_iface]
+                self.ifaces[src_iface]
                     .bound_vc
                     .filter(|&v| port.vc(v).accepts_continuation(front.pkt))
             };
@@ -101,30 +93,23 @@ impl Network {
                         waiting: eligible as u32,
                     });
             }
-            // The flit leaves the sending layer's shard arena and enters
-            // the destination layer's; popping needs only a shared arena
-            // borrow, so the cross-shard move is two plain statements.
-            let mut f = {
-                let st = &mut self.shards[src_shard];
-                st.ifaces[src_iface]
-                    .q
-                    .pop_front(&st.arena)
-                    .expect("front checked")
-            };
+            let mut f = self.ifaces[src_iface]
+                .q
+                .pop_front(&self.arena)
+                .expect("front checked");
             // `arrived` still holds the bus-enqueue stamp: the span up
             // to this grant is time spent waiting for a dTDMA slot.
             f.bus_wait += (now.0 - f.arrived.0) as u32;
             f.arrived = now;
             f.hops += 1;
-            let dest_shard = self.shard_of_node(dest_idx);
             self.routers[dest_idx].inputs[vi]
                 .as_mut()
                 .expect("checked above")
                 .vc_mut(vc)
-                .push(&mut self.shards[dest_shard].arena, f);
+                .push(&mut self.arena, f);
             self.routers[dest_idx].occupancy += 1;
             self.mark_dirty(dest_idx);
-            let iface = &mut self.shards[src_shard].ifaces[src_iface];
+            let iface = &mut self.ifaces[src_iface];
             iface.bound_vc = if f.kind.is_tail() {
                 None
             } else if f.kind.is_head() {

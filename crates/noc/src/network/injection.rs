@@ -1,60 +1,33 @@
 //! The injection phase: each node's network interface streams at most
 //! one flit of its oldest pending packet into a local-input VC.
-//!
-//! Like the router phase, the body lives on [`Lane`] so the sequential
-//! tick and the window executor share one implementation. Injection
-//! touches only shard-local state (the node's local port and its own
-//! injection queue) and emits no trace events.
 
 use nim_types::{Cycle, Dir};
 
 use crate::packet::{Flit, FlitKind};
 
-use super::lane::Lane;
 use super::Network;
 
 impl Network {
     pub(super) fn injection_phase(&mut self, now: Cycle) {
-        if self.shards.iter().all(|st| st.inj_active.is_empty()) {
+        if self.inj_active.is_empty() {
             return;
         }
-        let (mut lane, _sink) = self.live_parts();
-        lane.injection_phase(now);
-    }
-}
-
-impl Lane<'_> {
-    pub(super) fn injection_phase(&mut self, now: Cycle) {
-        for si in 0..self.shards.len() {
-            self.injection_phase_shard(si, now);
-        }
-    }
-
-    /// Injection for one shard's active nodes. Injection never leaves
-    /// the node, so shards are fully independent here.
-    fn injection_phase_shard(&mut self, si: usize, now: Cycle) {
-        if self.shards[si].inj_active.is_empty() {
-            return;
-        }
-        let mut active = std::mem::replace(
-            &mut self.shards[si].inj_active,
-            std::mem::take(&mut self.shards[si].inj_scratch),
-        );
+        let mut active =
+            std::mem::replace(&mut self.inj_active, std::mem::take(&mut self.inj_scratch));
         active.sort_unstable();
         for &n in &active {
-            self.in_inj[n as usize - self.base] = false;
+            self.in_inj[n as usize] = false;
         }
         for &n in &active {
             let n = n as usize;
-            let local = n - self.base;
             let li = Dir::Local.index();
-            if let Some(p) = self.injectors[local].queue.front().copied() {
+            if let Some(p) = self.injectors[n].queue.front().copied() {
                 let kind = FlitKind::for_position(p.seq, p.req.flits);
-                let port = self.routers[local].inputs[li].as_mut().expect("local port");
+                let port = self.routers[n].inputs[li].as_mut().expect("local port");
                 let vc_sel = if kind.is_head() {
                     port.free_vc()
                 } else {
-                    self.injectors[local]
+                    self.injectors[n]
                         .vc
                         .filter(|&v| port.vc(v).accepts_continuation(p.id))
                 };
@@ -72,14 +45,14 @@ impl Lane<'_> {
                         hops: 0,
                         bus_wait: 0,
                     };
-                    self.routers[local].inputs[li]
+                    self.routers[n].inputs[li]
                         .as_mut()
                         .expect("local port")
                         .vc_mut(v)
-                        .push(&mut self.shards[si].arena, flit);
-                    self.routers[local].occupancy += 1;
+                        .push(&mut self.arena, flit);
+                    self.routers[n].occupancy += 1;
                     self.mark_dirty(n);
-                    let inj = &mut self.injectors[local];
+                    let inj = &mut self.injectors[n];
                     let front = inj.queue.front_mut().expect("checked above");
                     front.seq += 1;
                     if front.seq == front.req.flits {
@@ -90,11 +63,11 @@ impl Lane<'_> {
                     }
                 }
             }
-            if !self.injectors[local].queue.is_empty() {
+            if !self.injectors[n].queue.is_empty() {
                 self.mark_inj(n);
             }
         }
         active.clear();
-        self.shards[si].inj_scratch = active;
+        self.inj_scratch = active;
     }
 }

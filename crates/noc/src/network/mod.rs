@@ -22,37 +22,19 @@
 //! buses with nothing queued via an active-pillar list, which keeps big
 //! idle meshes cheap to tick.
 //!
-//! Beyond per-cycle ticking, [`Network::next_event_at`] reports the
-//! earliest future cycle at which any phase could change state, and
-//! [`Network::advance_to`] batch-advances the clock across the provably
-//! dead span before it — the hook `System::run` uses to skip serialisation
-//! stalls and event waits even with traffic in flight.
-//!
-//! All mutable per-node state — routers, VC flit storage, injection
-//! queues, dirty lists, and the transceiver interfaces of the pillar
-//! nodes it owns — is grouped into one [`ShardState`] per *shard*: a
-//! contiguous run of cluster rows ([`nim_topology::ShardPlan`]), which
-//! may be whole device layers or horizontal bands within one. The
-//! sequential tick runs all shards through a single whole-chip
-//! [`lane::Lane`] (cross-shard mesh hops move a flit between two shard
-//! arenas, which the lane handles natively); the window executor gives
-//! each shard its own single-shard lane, where a cross-shard hop is
-//! impossible by construction — the conservative mesh-boundary
-//! lookahead in [`window`] ends every window before one could occur.
-//! The default single shard makes the whole chip one region and behaves
-//! exactly like the pre-sharding engine.
+//! Every VC and transceiver FIFO of the chip draws its storage from one
+//! pooled [`FlitArena`], so moving a flit is a copy between two ring
+//! slots of the same slab.
 
 mod bus_phase;
 mod injection;
-mod lane;
 mod router_phase;
 mod snapshot;
-mod window;
 
 use std::collections::VecDeque;
 
 use nim_obs::{Category, EventData, Obs};
-use nim_topology::{ChipLayout, RouteMap, ShardPlan};
+use nim_topology::{ChipLayout, RouteMap};
 use nim_types::{Coord, Cycle, Dir, NetworkConfig, PacketId};
 
 use crate::dtdma::{BusStats, DtdmaBus, Iface};
@@ -60,10 +42,6 @@ use crate::packet::{Delivered, Flit, FlitArena, SendRequest};
 use crate::router::Router;
 use crate::routing::VerticalMode;
 use crate::stats::NetworkStats;
-
-use lane::DeferredHop;
-use window::SpawnTuner;
-pub use window::WindowStats;
 
 /// One pending packet at a node's network interface.
 #[derive(Clone, Copy, Debug)]
@@ -92,39 +70,6 @@ struct Candidate {
     /// Output port the flit requests.
     out: Dir,
     flit: Flit,
-}
-
-/// The mutable state owned by one shard: a contiguous run of cluster
-/// rows whose router and injection phases can advance between windows
-/// without touching any other shard.
-///
-/// The flit arena, work lists, and scratch buffers are per-shard so a
-/// shard's phases never share a cache line (or a `&mut`) with another
-/// shard's. The dTDMA transceiver interfaces of the pillar nodes the
-/// shard owns live here too — a vertical move fills the sender's own
-/// interface; only the (sequential) bus phase drains interfaces across
-/// shards.
-#[derive(Clone, Debug, Default)]
-pub(super) struct ShardState {
-    /// Pooled backing store for every VC and transceiver FIFO of the
-    /// shard's nodes.
-    arena: FlitArena,
-    /// Transceiver interfaces of the shard's pillar nodes; slot indices
-    /// live in the network-global [`Network`]`::iface_slots` table.
-    ifaces: Vec<Iface>,
-    /// Routers (global node ids) with buffered flits.
-    dirty: Vec<u32>,
-    /// Nodes (global ids) with packets pending injection.
-    inj_active: Vec<u32>,
-    /// Retired work lists, kept to reuse their capacity each cycle.
-    dirty_scratch: Vec<u32>,
-    inj_scratch: Vec<u32>,
-    cand_scratch: Vec<Candidate>,
-    /// Buses that received a flit since the last settle
-    /// ([`Network::settle_touched`] folds them into the active list and
-    /// peak-occupancy statistics at the next barrier).
-    touched_buses: Vec<u16>,
-    in_touched: Vec<bool>,
 }
 
 /// The on-chip network: stacked wormhole meshes joined by dTDMA pillars
@@ -159,37 +104,18 @@ pub struct Network {
     /// router dirty list).
     bus_active: Vec<u16>,
     in_bus_active: Vec<bool>,
-    /// Per-shard mutable state; one entry when unsharded.
-    shards: Vec<ShardState>,
-    /// How the chip is cut: cluster-row shard geometry plus the
-    /// y-band/boundary tables the window planner's mesh-boundary
-    /// lookahead reads.
-    plan: ShardPlan,
-    /// Nodes per shard (cluster-row cuts keep a shard's nodes
-    /// contiguous under layer-major indexing, so
-    /// `node / nodes_per_shard` is its shard).
-    nodes_per_shard: usize,
-    /// Where each pillar bus's per-layer transceiver interface lives,
-    /// indexed `bus * layers + layer`.
-    iface_slots: Vec<IfaceSlot>,
-    /// Worker threads the window executor may use (≤ shard count).
-    window_workers: usize,
-    /// Minimum window length (cycles) before threads are spawned;
-    /// shorter windows run inline, bit-identically. Calibrated at run
-    /// time by [`SpawnTuner`] unless forced via
-    /// [`Network::set_window_tuning`].
-    window_spawn_min: u64,
-    /// Spawn-threshold calibration state.
-    tuner: SpawnTuner,
-    /// Window-executor activity counters — diagnostics only, kept out
-    /// of [`NetworkStats`] so results stay bit-identical across shard
-    /// counts.
-    win_stats: WindowStats,
-    /// Per-shard deferred-hop buffers and the merge scratch, reused
-    /// across windows.
-    hop_bufs: Vec<Vec<DeferredHop>>,
-    hop_scratch: Vec<DeferredHop>,
-    /// Retired bus work list, kept to reuse its capacity each tick.
+    /// Pooled backing store for every VC and transceiver FIFO.
+    arena: FlitArena,
+    /// Pillar transceiver interfaces, indexed `bus * layers + layer`.
+    ifaces: Vec<Iface>,
+    /// Routers with buffered flits.
+    dirty: Vec<u32>,
+    /// Nodes with packets pending injection.
+    inj_active: Vec<u32>,
+    /// Retired work lists, kept to reuse their capacity each cycle.
+    dirty_scratch: Vec<u32>,
+    inj_scratch: Vec<u32>,
+    cand_scratch: Vec<Candidate>,
     bus_scratch: Vec<u16>,
     now: Cycle,
     next_pkt: u64,
@@ -208,55 +134,17 @@ fn c3(c: Coord) -> [u16; 3] {
     [u16::from(c.x), u16::from(c.y), u16::from(c.layer)]
 }
 
-/// Where a pillar bus's transceiver interface for one layer lives:
-/// the shard owning that layer's pillar node, and the interface's slot
-/// in the shard's `ifaces` list.
-#[derive(Clone, Copy, Debug, Default)]
-pub(super) struct IfaceSlot {
-    pub shard: u32,
-    pub slot: u32,
-}
-
 impl Network {
-    /// Builds the network for a chip layout as a single shard — the
-    /// plain sequential engine.
+    /// Builds the network for a chip layout.
     ///
     /// `mode` selects the vertical interconnect: [`VerticalMode::Pillars`]
     /// is the paper's hybrid NoC/bus design; [`VerticalMode::Mesh3d`] is
     /// the rejected 7-port router kept for the design-search ablation.
     pub fn new(layout: &ChipLayout, cfg: &NetworkConfig, mode: VerticalMode) -> Self {
-        Self::new_sharded(layout, cfg, mode, 1)
-    }
-
-    /// Builds the network cut into `shards` independently-advancing
-    /// cluster-row bands, run concurrently between coupling events by
-    /// [`Network::advance_window`].
-    ///
-    /// The request is clamped to the largest divisor of the chip's
-    /// cluster-row count (`layers × cluster-grid height`; 1 for
-    /// single-layer chips or the 3D-mesh ablation), so any value is
-    /// safe; results are bit-identical for every shard count.
-    pub fn new_sharded(
-        layout: &ChipLayout,
-        cfg: &NetworkConfig,
-        mode: VerticalMode,
-        shards: usize,
-    ) -> Self {
         let vcs = cfg.vcs_per_port as usize;
         let depth = cfg.vc_depth_flits as usize;
         let n = layout.num_nodes();
-        // Only pillar mode keeps all router-phase traffic within a layer
-        // band; the 3D-mesh ablation's `Up`/`Down` hops cross layers
-        // freely, so it cannot be cut.
-        let plan = if mode == VerticalMode::Pillars && layout.layers() > 1 {
-            ShardPlan::new(layout, shards)
-        } else {
-            ShardPlan::new(layout, 1)
-        };
-        let num_shards = plan.shards();
-        let nodes_per_shard = plan.nodes_per_shard();
-        let mut shard_states: Vec<ShardState> =
-            (0..num_shards).map(|_| ShardState::default()).collect();
+        let mut arena = FlitArena::default();
         let mut routers = Vec::with_capacity(n);
         let mut bus_of_node = vec![None; n];
         for i in 0..n {
@@ -282,11 +170,10 @@ impl Network {
                     }
                 }
             }
-            let arena = &mut shard_states[i / nodes_per_shard].arena;
-            routers.push(Router::new(arena, c, &dirs, &dirs, vcs, depth));
+            routers.push(Router::new(&mut arena, c, &dirs, &dirs, vcs, depth));
         }
         let mut buses = Vec::new();
-        let mut iface_slots = Vec::new();
+        let mut ifaces = Vec::new();
         if mode == VerticalMode::Pillars && layout.layers() > 1 {
             for p in 0..layout.num_pillars() {
                 let pillar = nim_types::PillarId(p);
@@ -294,35 +181,11 @@ impl Network {
                 for layer in 0..layout.layers() {
                     let idx = layout.node_index(Coord::new(xy.0, xy.1, layer));
                     bus_of_node[idx] = Some(p);
+                    ifaces.push(Iface::new(&mut arena, depth));
                 }
                 buses.push(DtdmaBus::new(pillar, xy));
             }
-            // Each (bus, layer) interface belongs to the shard owning
-            // that layer's pillar node; the slot table records where.
-            for (b, bus) in buses.iter().enumerate() {
-                for layer in 0..layout.layers() {
-                    let idx = layout.node_index(Coord::new(bus.xy.0, bus.xy.1, layer));
-                    let owner = plan.shard_of_node(idx);
-                    let st = &mut shard_states[owner];
-                    debug_assert_eq!(
-                        iface_slots.len(),
-                        b * layout.layers() as usize + layer as usize
-                    );
-                    iface_slots.push(IfaceSlot {
-                        shard: owner as u32,
-                        slot: st.ifaces.len() as u32,
-                    });
-                    let iface = Iface::new(&mut st.arena, depth);
-                    st.ifaces.push(iface);
-                }
-            }
-            for st in &mut shard_states {
-                st.in_touched = vec![false; buses.len()];
-            }
         }
-        let window_workers = std::thread::available_parallelism()
-            .map_or(1, std::num::NonZeroUsize::get)
-            .min(num_shards);
         Self {
             layout: layout.clone(),
             routes: RouteMap::new(layout),
@@ -330,14 +193,7 @@ impl Network {
             vcs,
             router_latency: u64::from(cfg.router_latency).max(1),
             bus_cycles_per_flit: u64::from(cfg.bus_cycles_per_flit()).max(1),
-            bus_ready_at: vec![
-                0;
-                if mode == VerticalMode::Pillars && layout.layers() > 1 {
-                    layout.num_pillars() as usize
-                } else {
-                    0
-                }
-            ],
+            bus_ready_at: vec![0; buses.len()],
             in_bus_active: vec![false; buses.len()],
             routers,
             buses,
@@ -349,16 +205,13 @@ impl Network {
             in_dirty: vec![false; n],
             in_inj: vec![false; n],
             bus_active: Vec::new(),
-            shards: shard_states,
-            plan,
-            nodes_per_shard,
-            iface_slots,
-            window_workers,
-            window_spawn_min: window::DEFAULT_SPAWN_MIN,
-            tuner: SpawnTuner::default(),
-            win_stats: WindowStats::default(),
-            hop_bufs: vec![Vec::new(); num_shards],
-            hop_scratch: Vec::new(),
+            arena,
+            ifaces,
+            dirty: Vec::new(),
+            inj_active: Vec::new(),
+            dirty_scratch: Vec::new(),
+            inj_scratch: Vec::new(),
+            cand_scratch: Vec::new(),
             bus_scratch: Vec::new(),
             now: Cycle::ZERO,
             next_pkt: 0,
@@ -367,43 +220,6 @@ impl Network {
             traversals: vec![0; n],
             obs: Obs::disabled(),
         }
-    }
-
-    /// How many independently-advancing shards the chip was cut into
-    /// (1 = the plain sequential engine).
-    #[inline]
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Overrides the window executor's tuning: the minimum window length
-    /// before worker threads spawn, and the worker count. Disables the
-    /// runtime spawn-threshold calibration. Results are bit-identical
-    /// for any values; this only exists so tests can force the threaded
-    /// path onto short windows.
-    #[doc(hidden)]
-    pub fn set_window_tuning(&mut self, spawn_min: u64, workers: usize) {
-        self.window_spawn_min = spawn_min.max(1);
-        self.window_workers = workers.clamp(1, self.shards.len());
-        self.tuner.force();
-    }
-
-    /// Window-executor activity counters (windows advanced, cycles
-    /// covered, spawned vs inline). Diagnostics only: these vary with
-    /// shard count and thread availability and are deliberately not part
-    /// of [`NetworkStats`], whose contents must stay bit-identical
-    /// across shard counts.
-    #[inline]
-    pub fn window_stats(&self) -> WindowStats {
-        self.win_stats
-    }
-
-    /// The current minimum window length before worker threads spawn —
-    /// `DEFAULT_SPAWN_MIN` until the runtime calibration or a
-    /// [`Network::set_window_tuning`] override replaces it.
-    #[inline]
-    pub fn window_spawn_min(&self) -> u64 {
-        self.window_spawn_min
     }
 
     /// Attaches an observability handle; events and per-tick cycle
@@ -555,88 +371,6 @@ impl Network {
         self.delivered_nodes = nodes;
     }
 
-    /// Advances the clock over a known-quiet span without ticking.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any flit is in flight — skipping would change behaviour.
-    pub fn advance_idle(&mut self, cycles: u64) {
-        assert!(self.is_idle(), "advance_idle with traffic in flight");
-        self.advance_to(Cycle(self.now.0 + cycles));
-    }
-
-    /// Batch-advances the clock to `to` without running per-cycle phases,
-    /// even with traffic in flight.
-    ///
-    /// Callers must only jump across provably-dead spans: `to` must lie
-    /// strictly before [`Network::next_event_at`], so that every skipped
-    /// cycle would have been a no-op tick.
-    pub fn advance_to(&mut self, to: Cycle) {
-        debug_assert!(to.0 >= self.now.0, "advance_to moving backwards");
-        debug_assert!(
-            self.next_event_at().is_none_or(|t| to.0 < t.0),
-            "advance_to({}) skips a cycle where a phase fires",
-            to.0
-        );
-        self.now = to;
-        self.obs.set_now(self.now.0);
-    }
-
-    /// The earliest future cycle at which any phase could change state —
-    /// the next-event horizon — or `None` when the network is idle.
-    ///
-    /// The bound is exact-or-early, never late: the returned cycle may
-    /// turn out to be a no-op (a speculative bus grant or switch
-    /// allocation can still fail on VC backpressure, which mutates
-    /// nothing), but every cycle strictly before it is provably dead, so
-    /// [`Network::advance_to`] may jump to `horizon - 1` unconditionally.
-    pub fn next_event_at(&self) -> Option<Cycle> {
-        if self.is_idle() {
-            return None;
-        }
-        let next = self.now.0 + 1;
-        let mut earliest = u64::MAX;
-        for st in &self.shards {
-            // Injection streams one flit per cycle while packets pend.
-            if !st.inj_active.is_empty() {
-                earliest = next;
-            }
-            // A router moves a front flit once it has dwelt
-            // `router_latency`.
-            for &n in &st.dirty {
-                let r = &self.routers[n as usize];
-                if r.occupancy == 0 {
-                    continue;
-                }
-                for port in r.inputs.iter().flatten() {
-                    for vc in 0..self.vcs {
-                        if let Some(f) = port.vc(vc).front(&st.arena) {
-                            earliest = earliest.min((f.arrived.0 + self.router_latency).max(next));
-                        }
-                    }
-                }
-            }
-        }
-        // A bus grants once it is free of any serialisation window and a
-        // queued flit has dwelt one cycle at its transceiver interface.
-        for &b in &self.bus_active {
-            let b = b as usize;
-            let mut front = u64::MAX;
-            for layer in 0..self.layout.layers() {
-                let (s, i) = self.iface_pos(b, layer);
-                if let Some(f) = self.shards[s].ifaces[i].q.front(&self.shards[s].arena) {
-                    front = front.min(f.arrived.0 + 1);
-                }
-            }
-            if front != u64::MAX {
-                earliest = earliest.min(front.max(self.bus_ready_at[b]).max(next));
-            }
-        }
-        // Flits in flight always sit in some queue the scans above cover;
-        // fall back to the very next cycle rather than ever over-skipping.
-        Some(Cycle(if earliest == u64::MAX { next } else { earliest }))
-    }
-
     /// Advances the network by one clock cycle.
     pub fn tick(&mut self) {
         self.now += 1;
@@ -644,7 +378,6 @@ impl Network {
         self.bus_phase(self.now);
         self.router_phase(self.now);
         self.injection_phase(self.now);
-        self.settle_touched();
     }
 
     /// Ticks until the network is idle, up to `max_cycles`. Returns the
@@ -661,63 +394,26 @@ impl Network {
         Some(self.now - start)
     }
 
-    /// The (shard, interface-slot) holding the transceiver interface of
-    /// bus `b` on `layer`.
+    /// The transceiver interface of bus `b` on `layer`.
     #[inline]
-    fn iface_pos(&self, b: usize, layer: u8) -> (usize, usize) {
-        let s = self.iface_slots[b * self.layout.layers() as usize + layer as usize];
-        (s.shard as usize, s.slot as usize)
+    fn iface_ix(&self, b: usize, layer: u8) -> usize {
+        b * self.layout.layers() as usize + layer as usize
     }
 
     /// Total flits queued across all of bus `b`'s interfaces.
     fn bus_queued(&self, b: usize) -> usize {
-        (0..self.layout.layers())
-            .map(|layer| {
-                let (s, i) = self.iface_pos(b, layer);
-                self.shards[s].ifaces[i].q.len()
-            })
+        let layers = self.layout.layers() as usize;
+        self.ifaces[b * layers..(b + 1) * layers]
+            .iter()
+            .map(|iface| iface.q.len())
             .sum()
-    }
-
-    /// Folds per-shard bus-touch records into the global bus state:
-    /// marks each touched bus active and settles its peak-occupancy
-    /// statistic. Interface totals only grow between bus-phase drains
-    /// (router phases enqueue, never dequeue), so settling at the end of
-    /// a tick — or of a whole multi-cycle shard window — observes the
-    /// running maximum the per-enqueue update used to record.
-    fn settle_touched(&mut self) {
-        for s in 0..self.shards.len() {
-            if self.shards[s].touched_buses.is_empty() {
-                continue;
-            }
-            let mut work = std::mem::take(&mut self.shards[s].touched_buses);
-            for &b in &work {
-                self.shards[s].in_touched[b as usize] = false;
-            }
-            for &b in &work {
-                let b = b as usize;
-                let queued = self.bus_queued(b) as u64;
-                let stats = &mut self.buses[b].stats;
-                stats.peak_queued = stats.peak_queued.max(queued);
-                self.mark_bus(b);
-            }
-            work.clear();
-            self.shards[s].touched_buses = work;
-        }
-    }
-
-    /// The shard owning a (layer-major) node index.
-    #[inline]
-    fn shard_of_node(&self, node: usize) -> usize {
-        node / self.nodes_per_shard
     }
 
     #[inline]
     fn mark_dirty(&mut self, node: usize) {
         if !self.in_dirty[node] {
             self.in_dirty[node] = true;
-            let s = self.shard_of_node(node);
-            self.shards[s].dirty.push(node as u32);
+            self.dirty.push(node as u32);
         }
     }
 
@@ -725,8 +421,7 @@ impl Network {
     fn mark_inj(&mut self, node: usize) {
         if !self.in_inj[node] {
             self.in_inj[node] = true;
-            let s = self.shard_of_node(node);
-            self.shards[s].inj_active.push(node as u32);
+            self.inj_active.push(node as u32);
         }
     }
 

@@ -1,71 +1,41 @@
 //! The router phase: switch allocation and flit traversal for every
 //! active router, in node-index order.
 //!
-//! The phase body lives on [`Lane`] so the sequential tick and the
-//! window executor share one implementation; only the
-//! [`DeliverySink`] differs. Node-major indexing is layer-major and
-//! shards are node-contiguous, so processing shards in order and each
-//! shard's sorted dirty list within equals processing one globally
-//! sorted dirty list — the sharded phase is order-identical to the
-//! pre-sharding code. A mesh hop across a shard boundary (possible only
-//! in the whole-chip sequential lane) marks the destination router in
-//! the *current* phase's list when the destination shard has not run
-//! yet; the just-arrived flit is stamped `arrived == now`, so that
-//! visit is provably a no-op and the router is re-marked for the next
-//! cycle — exactly what the pre-sharding single-list code did.
+//! A mesh hop marks the destination router dirty for the *next* cycle:
+//! the phase works on a snapshot of the dirty list, and the just-arrived
+//! flit is stamped `arrived == now`, so it cannot move again this cycle.
 
+use nim_obs::{Category, EventData};
 use nim_types::{Coord, Cycle, Dir};
 
-use crate::packet::Flit;
+use crate::packet::{Delivered, Flit};
 use crate::router::Hold;
 use crate::routing::route;
 
-use super::lane::{DeliverySink, Lane};
-use super::{Candidate, Network};
+use super::{c3, Candidate, Network};
 
 impl Network {
     pub(super) fn router_phase(&mut self, now: Cycle) {
-        if self.shards.iter().all(|st| st.dirty.is_empty()) {
+        if self.dirty.is_empty() {
             return;
         }
-        let (mut lane, mut sink) = self.live_parts();
-        lane.router_phase(now, &mut sink);
-        let (hops, by_class, cont) = (
-            lane.flit_hops,
-            lane.flit_hops_by_class,
-            lane.switch_contention,
-        );
-        self.fold_lane(hops, by_class, cont);
-    }
-}
-
-impl Lane<'_> {
-    pub(super) fn router_phase(&mut self, now: Cycle, sink: &mut impl DeliverySink) {
-        for si in 0..self.shards.len() {
-            if self.shards[si].dirty.is_empty() {
+        let mut work = std::mem::replace(&mut self.dirty, std::mem::take(&mut self.dirty_scratch));
+        work.sort_unstable();
+        for &n in &work {
+            self.in_dirty[n as usize] = false;
+        }
+        for &n in &work {
+            let n = n as usize;
+            if self.routers[n].occupancy == 0 {
                 continue;
             }
-            let mut work = std::mem::replace(
-                &mut self.shards[si].dirty,
-                std::mem::take(&mut self.shards[si].dirty_scratch),
-            );
-            work.sort_unstable();
-            for &n in &work {
-                self.in_dirty[n as usize - self.base] = false;
+            self.process_router(n, now);
+            if self.routers[n].occupancy > 0 {
+                self.mark_dirty(n);
             }
-            for &n in &work {
-                let n = n as usize;
-                if self.routers[n - self.base].occupancy == 0 {
-                    continue;
-                }
-                self.process_router(n, now, sink);
-                if self.routers[n - self.base].occupancy > 0 {
-                    self.mark_dirty(n);
-                }
-            }
-            work.clear();
-            self.shards[si].dirty_scratch = work;
         }
+        work.clear();
+        self.dirty_scratch = work;
     }
 
     /// Switch allocation for one router: a single scan over the input VCs
@@ -74,17 +44,15 @@ impl Lane<'_> {
     /// order. Moves performed while an output is served only ever change
     /// the fronts of inputs recorded in `used_input`, which later outputs
     /// skip, so the pre-collected candidates stay exact.
-    fn process_router(&mut self, n: usize, now: Cycle, sink: &mut impl DeliverySink) {
+    fn process_router(&mut self, n: usize, now: Cycle) {
         let vcs = self.vcs;
-        let local = n - self.base;
-        let si = self.shard_ix(n);
-        let at = self.routers[local].coord;
-        let mut cands = std::mem::take(&mut self.shards[si].cand_scratch);
+        let at = self.routers[n].coord;
+        let mut cands = std::mem::take(&mut self.cand_scratch);
         debug_assert!(cands.is_empty());
-        for (in_dir, input) in self.routers[local].inputs.iter().enumerate() {
+        for (in_dir, input) in self.routers[n].inputs.iter().enumerate() {
             let Some(port) = input else { continue };
             for vc in 0..vcs {
-                let Some(front) = port.vc(vc).front(&self.shards[si].arena) else {
+                let Some(front) = port.vc(vc).front(&self.arena) else {
                     continue;
                 };
                 if front.arrived.0 + self.router_latency > now.0 || !front.kind.is_head() {
@@ -93,8 +61,8 @@ impl Lane<'_> {
                 cands.push(Candidate {
                     slot: (in_dir * vcs + vc) as u16,
                     out: route(
-                        self.layout,
-                        self.routes,
+                        &self.layout,
+                        &self.routes,
                         self.mode,
                         at,
                         front.dst,
@@ -106,12 +74,12 @@ impl Lane<'_> {
         }
         let mut used_input = [false; Dir::COUNT];
         for out in Dir::ALL {
-            if self.routers[local].has_output(out) {
-                self.process_output(n, out, now, &mut used_input, &cands, sink);
+            if self.routers[n].has_output(out) {
+                self.process_output(n, out, now, &mut used_input, &cands);
             }
         }
         cands.clear();
-        self.shards[si].cand_scratch = cands;
+        self.cand_scratch = cands;
     }
 
     /// Switch allocation and traversal for one output port of one router.
@@ -122,38 +90,35 @@ impl Lane<'_> {
         now: Cycle,
         used_input: &mut [bool; Dir::COUNT],
         cands: &[Candidate],
-        sink: &mut impl DeliverySink,
     ) {
         let oi = out.index();
-        let local = n - self.base;
-        let si = self.shard_ix(n);
         // An output already claimed by a packet serves only that packet.
-        if let Some(hold) = self.routers[local].held[oi] {
+        if let Some(hold) = self.routers[n].held[oi] {
             if used_input[hold.in_dir] {
                 return;
             }
-            let front = self.routers[local].inputs[hold.in_dir]
+            let front = self.routers[n].inputs[hold.in_dir]
                 .as_ref()
-                .and_then(|p| p.vc(hold.vc).front(&self.shards[si].arena))
+                .and_then(|p| p.vc(hold.vc).front(&self.arena))
                 .copied();
             let Some(front) = front else { return };
             if front.pkt != hold.pkt || front.arrived.0 + self.router_latency > now.0 {
                 return;
             }
-            if self.try_move(n, hold.in_dir, hold.vc, out, &front, now, sink) {
+            if self.try_move(n, hold.in_dir, hold.vc, out, &front, now) {
                 used_input[hold.in_dir] = true;
                 if front.kind.is_tail() {
-                    self.routers[local].held[oi] = None;
+                    self.routers[n].held[oi] = None;
                 }
             } else {
-                self.switch_contention += 1;
+                self.stats.switch_contention += 1;
             }
             return;
         }
         // Free output: round-robin over head flits requesting it.
         let vcs = self.vcs;
         let total = (Dir::COUNT * vcs) as u16;
-        let rrp = self.routers[local].rr[oi];
+        let rrp = self.routers[n].rr[oi];
         let mut winner: Option<Candidate> = None;
         let mut best_rank = u16::MAX;
         let mut eligible = 0u64;
@@ -169,30 +134,29 @@ impl Lane<'_> {
             }
         }
         if eligible > 1 {
-            self.switch_contention += eligible - 1;
+            self.stats.switch_contention += eligible - 1;
         }
         let Some(c) = winner else {
             return;
         };
         let (in_dir, vc) = (usize::from(c.slot) / vcs, usize::from(c.slot) % vcs);
-        if self.try_move(n, in_dir, vc, out, &c.flit, now, sink) {
+        if self.try_move(n, in_dir, vc, out, &c.flit, now) {
             used_input[in_dir] = true;
             if !c.flit.kind.is_tail() {
-                self.routers[local].held[oi] = Some(Hold {
+                self.routers[n].held[oi] = Some(Hold {
                     pkt: c.flit.pkt,
                     in_dir,
                     vc,
                 });
             }
-            self.routers[local].rr[oi] = (c.slot + 1) % total;
+            self.routers[n].rr[oi] = (c.slot + 1) % total;
         } else {
-            self.switch_contention += 1;
+            self.stats.switch_contention += 1;
         }
     }
 
     /// Attempts the actual flit traversal. Returns `false` when downstream
     /// has no space or no free VC (speculation failure — retry next cycle).
-    #[allow(clippy::too_many_arguments)]
     fn try_move(
         &mut self,
         n: usize,
@@ -201,59 +165,48 @@ impl Lane<'_> {
         out: Dir,
         front: &Flit,
         now: Cycle,
-        sink: &mut impl DeliverySink,
     ) -> bool {
-        let local = n - self.base;
-        let si = self.shard_ix(n);
         match out {
             Dir::Local => {
-                let f = self.routers[local].inputs[in_dir]
+                let f = self.routers[n].inputs[in_dir]
                     .as_mut()
                     .expect("input exists")
                     .vc_mut(vc)
-                    .pop(&self.shards[si].arena)
+                    .pop(&self.arena)
                     .expect("front checked");
-                self.routers[local].occupancy -= 1;
-                sink.local_pop(n, f, now);
+                self.routers[n].occupancy -= 1;
+                self.eject(n, f, now);
                 true
             }
             Dir::Vertical => {
                 // The vertical move fills this pillar node's own
-                // transceiver interface — owned by this node's shard;
-                // the (sequential) bus phase is what later drains it
-                // across shards.
+                // transceiver interface; the bus phase drains it.
                 let bus_idx =
                     self.bus_of_node[n].expect("vertical output on non-pillar node") as usize;
-                let layer = self.routers[local].coord.layer;
-                let is = self.iface_slots[bus_idx * self.layout.layers() as usize + layer as usize];
-                debug_assert_eq!(is.shard as usize, si + self.first_shard);
-                let slot = is.slot as usize;
-                if self.shards[si].ifaces[slot].q.is_full() {
+                let slot = self.iface_ix(bus_idx, self.routers[n].coord.layer);
+                if self.ifaces[slot].q.is_full() {
                     return false;
                 }
-                let mut f = self.routers[local].inputs[in_dir]
+                let mut f = self.routers[n].inputs[in_dir]
                     .as_mut()
                     .expect("input exists")
                     .vc_mut(vc)
-                    .pop(&self.shards[si].arena)
+                    .pop(&self.arena)
                     .expect("front checked");
                 f.arrived = now;
-                let st = &mut self.shards[si];
-                st.ifaces[slot].q.push_back(&mut st.arena, f);
-                if !st.in_touched[bus_idx] {
-                    st.in_touched[bus_idx] = true;
-                    st.touched_buses.push(bus_idx as u16);
-                }
-                self.routers[local].occupancy -= 1;
-                self.flit_hops += 1;
-                self.flit_hops_by_class[f.class.index()] += 1;
-                self.traversals[local] += 1;
-                let at = self.routers[local].coord;
-                sink.flit_hop(now, at, f.class.name());
+                self.ifaces[slot].q.push_back(&mut self.arena, f);
+                // Interfaces only fill during the router phase, so the
+                // peak is the total right after an enqueue.
+                let queued = self.bus_queued(bus_idx) as u64;
+                let stats = &mut self.buses[bus_idx].stats;
+                stats.peak_queued = stats.peak_queued.max(queued);
+                self.mark_bus(bus_idx);
+                self.routers[n].occupancy -= 1;
+                self.count_hop(n, &f);
                 true
             }
             _ => {
-                let c = self.routers[local].coord;
+                let c = self.routers[n].coord;
                 let dest = match out {
                     Dir::Up => Coord::new(c.x, c.y, c.layer + 1),
                     Dir::Down => Coord::new(c.x, c.y, c.layer - 1),
@@ -264,27 +217,11 @@ impl Lane<'_> {
                         Coord::new(x, y, c.layer)
                     }
                 };
-                // In the whole-chip sequential lane every destination is
-                // in range and a hop may cross a shard (band) boundary.
-                // A window lane holds exactly one shard, and the window
-                // planner's mesh-boundary lookahead ended the window
-                // before any flit could reach a boundary router — so an
-                // out-of-range destination there is a planner bug.
                 let dest_idx = self.layout.node_index(dest);
-                let dest_local = dest_idx.wrapping_sub(self.base);
-                if dest_local >= self.routers.len() {
-                    unreachable!(
-                        "packet {} hopped {c} -> {dest} across a shard boundary in cycle {} \
-                         inside a conservative shard window — the boundary lookahead \
-                         under-estimated",
-                        front.pkt.0, now.0
-                    );
-                }
-                debug_assert_ne!(dest_local, local);
-                let dsi = self.shard_ix(dest_idx);
+                debug_assert_ne!(dest_idx, n);
                 let ii = out.opposite().index();
                 let dvc = {
-                    let port = self.routers[dest_local].inputs[ii]
+                    let port = self.routers[dest_idx].inputs[ii]
                         .as_ref()
                         .expect("link implies input port");
                     if front.kind.is_head() {
@@ -296,28 +233,70 @@ impl Lane<'_> {
                 let Some(dvc) = dvc else {
                     return false;
                 };
-                let mut f = self.routers[local].inputs[in_dir]
+                let mut f = self.routers[n].inputs[in_dir]
                     .as_mut()
                     .expect("input exists")
                     .vc_mut(vc)
-                    .pop(&self.shards[si].arena)
+                    .pop(&self.arena)
                     .expect("front checked");
                 f.arrived = now;
                 f.hops += 1;
-                self.routers[dest_local].inputs[ii]
+                self.routers[dest_idx].inputs[ii]
                     .as_mut()
                     .expect("checked above")
                     .vc_mut(dvc)
-                    .push(&mut self.shards[dsi].arena, f);
-                self.routers[local].occupancy -= 1;
-                self.routers[dest_local].occupancy += 1;
+                    .push(&mut self.arena, f);
+                self.routers[n].occupancy -= 1;
+                self.routers[dest_idx].occupancy += 1;
                 self.mark_dirty(dest_idx);
-                self.flit_hops += 1;
-                self.flit_hops_by_class[f.class.index()] += 1;
-                self.traversals[local] += 1;
-                sink.flit_hop(now, c, f.class.name());
+                self.count_hop(n, &f);
                 true
             }
+        }
+    }
+
+    /// Records a flit leaving router `n` by a mesh or vertical hop.
+    fn count_hop(&mut self, n: usize, f: &Flit) {
+        self.stats.flit_hops += 1;
+        self.stats.flit_hops_by_class[f.class.index()] += 1;
+        self.traversals[n] += 1;
+        let at = self.routers[n].coord;
+        self.obs.emit(Category::Hop, || EventData::FlitHop {
+            at: c3(at),
+            class: f.class.name(),
+        });
+    }
+
+    /// A flit left the network at node `n`'s local port; its tail
+    /// completes the packet's delivery.
+    fn eject(&mut self, n: usize, f: Flit, now: Cycle) {
+        self.flits_in_flight -= 1;
+        if !f.kind.is_tail() {
+            return;
+        }
+        let d = Delivered {
+            packet: f.pkt,
+            src: f.src,
+            dst: f.dst,
+            class: f.class,
+            token: f.token,
+            injected: f.injected,
+            delivered: now,
+            hops: f.hops,
+            bus_wait: f.bus_wait,
+        };
+        self.stats.record_delivery(&d);
+        self.obs
+            .emit(Category::Packet, || EventData::PacketDeliver {
+                packet: d.packet.0,
+                dst: c3(d.dst),
+                latency: d.latency(),
+                hops: u32::from(d.hops),
+            });
+        self.outbox[n].push_back(d);
+        if !self.in_delivered[n] {
+            self.in_delivered[n] = true;
+            self.delivered_nodes.push(n as u32);
         }
     }
 }

@@ -3,17 +3,14 @@
 //! The network's live state is saved *logically*, not physically: flits
 //! are written per (node, input direction, VC), per (bus, layer)
 //! transceiver interface, and per-node injection queue — never as raw
-//! [`FlitArena`](crate::packet::FlitArena) slabs. Arena slot layout
-//! depends on how the chip was cut into shards, so a logical encoding
-//! lets a snapshot taken under one `NIM_SHARDS` restore under any other
-//! (sharding is bit-identical by construction, so the resumed run still
-//! reproduces the uninterrupted one exactly).
+//! [`FlitArena`](crate::packet::FlitArena) slabs, so the image does not
+//! depend on the arena's slot layout.
 //!
 //! Restore targets a freshly built [`Network`] with the same layout and
-//! configuration; the derived work lists (router dirty lists, active
+//! configuration; the derived work lists (router dirty list, active
 //! injectors, active buses, delivered-node list) are recomputed from the
-//! restored queues rather than serialized, and scratch state (window
-//! tuner, diagnostics) intentionally starts fresh.
+//! restored queues rather than serialized, and scratch buffers start
+//! fresh.
 
 use nim_types::codec::{ByteReader, ByteWriter, Checkpoint, CodecError};
 use nim_types::{Coord, Cycle, PacketId, PillarId};
@@ -200,8 +197,7 @@ impl Checkpoint for Network {
 
         // Routers: ports and VC contents in (node, direction, VC) order.
         w.u32(self.routers.len() as u32);
-        for (n, router) in self.routers.iter().enumerate() {
-            let st = &self.shards[self.shard_of_node(n)];
+        for router in &self.routers {
             for input in &router.inputs {
                 match input {
                     None => w.u8(0),
@@ -212,7 +208,7 @@ impl Checkpoint for Network {
                             let vc = port.vc(v);
                             w.opt_u64(vc.owner().map(|p| p.0));
                             w.u16(vc.fifo().len() as u16);
-                            for f in vc.fifo().iter(&st.arena) {
+                            for f in vc.fifo().iter(&self.arena) {
                                 save_flit(w, f);
                             }
                         }
@@ -252,20 +248,22 @@ impl Checkpoint for Network {
         }
 
         // Buses and their per-layer transceiver interfaces, in (bus,
-        // layer) order — shard-agnostic by construction.
+        // layer) order.
         w.u32(self.buses.len() as u32);
-        for (b, bus) in self.buses.iter().enumerate() {
+        for (bus, ifaces) in self
+            .buses
+            .iter()
+            .zip(self.ifaces.chunks(self.layout.layers() as usize))
+        {
             w.usize(bus.rr);
             w.u64(bus.stats.transfers);
             w.u64(bus.stats.busy_cycles);
             w.u64(bus.stats.contention_cycles);
             w.u64(bus.stats.peak_queued);
-            for layer in 0..self.layout.layers() {
-                let (s, i) = self.iface_pos(b, layer);
-                let iface = &self.shards[s].ifaces[i];
+            for iface in ifaces {
                 w.opt_u64(iface.bound_vc.map(|v| v as u64));
                 w.u16(iface.q.len() as u16);
-                for f in iface.q.iter(&self.shards[s].arena) {
+                for f in iface.q.iter(&self.arena) {
                     save_flit(w, f);
                 }
             }
@@ -292,10 +290,7 @@ impl Checkpoint for Network {
             return Err(CodecError::Corrupt("router count mismatch"));
         }
         let mut flit_buf = Vec::new();
-        for n in 0..self.routers.len() {
-            let s = self.shard_of_node(n);
-            let arena = &mut self.shards[s].arena;
-            let router = &mut self.routers[n];
+        for router in &mut self.routers {
             for input in &mut router.inputs {
                 let present = r.u8()? == 1;
                 let Some(port) = input.as_mut() else {
@@ -320,7 +315,8 @@ impl Checkpoint for Network {
                     for _ in 0..count {
                         flit_buf.push(restore_flit(r)?);
                     }
-                    port.vc_mut(v).restore_flits(arena, &flit_buf, owner);
+                    port.vc_mut(v)
+                        .restore_flits(&mut self.arena, &flit_buf, owner);
                 }
             }
             for held in &mut router.held {
@@ -357,32 +353,29 @@ impl Checkpoint for Network {
         if r.u32()? as usize != self.buses.len() {
             return Err(CodecError::Corrupt("bus count mismatch"));
         }
-        for b in 0..self.buses.len() {
-            self.buses[b].rr = r.usize()?;
-            self.buses[b].stats.transfers = r.u64()?;
-            self.buses[b].stats.busy_cycles = r.u64()?;
-            self.buses[b].stats.contention_cycles = r.u64()?;
-            self.buses[b].stats.peak_queued = r.u64()?;
-            for layer in 0..self.layout.layers() {
-                let (s, i) = self.iface_pos(b, layer);
+        let layers = self.layout.layers() as usize;
+        for (bus, ifaces) in self.buses.iter_mut().zip(self.ifaces.chunks_mut(layers)) {
+            bus.rr = r.usize()?;
+            bus.stats.transfers = r.u64()?;
+            bus.stats.busy_cycles = r.u64()?;
+            bus.stats.contention_cycles = r.u64()?;
+            bus.stats.peak_queued = r.u64()?;
+            for iface in ifaces {
                 let bound_vc = r.opt_u64()?.map(|v| v as usize);
                 let count = usize::from(r.u16()?);
-                let st = &mut self.shards[s];
-                if count > st.ifaces[i].q.capacity() {
+                if count > iface.q.capacity() {
                     return Err(CodecError::Corrupt("interface deeper than its capacity"));
                 }
-                st.ifaces[i].bound_vc = bound_vc;
+                iface.bound_vc = bound_vc;
                 for _ in 0..count {
                     let f = restore_flit(r)?;
-                    st.ifaces[i].q.push_back(&mut st.arena, f);
+                    iface.q.push_back(&mut self.arena, f);
                 }
             }
         }
 
-        // Rebuild the derived work lists from the restored queues (in
-        // ascending node/bus order — any deterministic order works; the
-        // phases are order-independent, as the shard-invariance suite
-        // proves).
+        // Rebuild the derived work lists from the restored queues, in
+        // ascending node/bus order (each phase sorts its work list).
         for n in 0..self.routers.len() {
             if self.routers[n].occupancy > 0 {
                 self.mark_dirty(n);
@@ -416,10 +409,10 @@ mod tests {
     use nim_topology::ChipLayout;
     use nim_types::SystemConfig;
 
-    fn busy_net(shards: usize) -> (ChipLayout, Network) {
+    fn busy_net() -> (ChipLayout, Network) {
         let cfg = SystemConfig::default();
         let layout = ChipLayout::new(&cfg).unwrap();
-        let mut net = Network::new_sharded(&layout, &cfg.network, VerticalMode::Pillars, shards);
+        let mut net = Network::new(&layout, &cfg.network, VerticalMode::Pillars);
         // Mixed traffic: multi-flit cross-layer packets (pillar bus in
         // use), same-layer packets, and a backlog that is still mid-
         // injection when we snapshot.
@@ -450,29 +443,26 @@ mod tests {
 
     #[test]
     fn snapshot_mid_flight_restores_bit_identically() {
-        for (save_shards, restore_shards) in [(1, 1), (1, 2), (2, 1)] {
-            let (layout, mut original) = busy_net(save_shards);
-            let mut w = ByteWriter::new();
-            original.save(&mut w);
-            let bytes = w.into_bytes();
+        let (layout, mut original) = busy_net();
+        let mut w = ByteWriter::new();
+        original.save(&mut w);
+        let bytes = w.into_bytes();
 
-            let cfg = SystemConfig::default();
-            let mut restored =
-                Network::new_sharded(&layout, &cfg.network, VerticalMode::Pillars, restore_shards);
-            let mut r = ByteReader::new(&bytes);
-            restored.restore(&mut r).unwrap();
-            assert_eq!(r.remaining(), 0);
-            assert_eq!(restored.now(), original.now());
+        let cfg = SystemConfig::default();
+        let mut restored = Network::new(&layout, &cfg.network, VerticalMode::Pillars);
+        let mut r = ByteReader::new(&bytes);
+        restored.restore(&mut r).unwrap();
+        assert_eq!(r.remaining(), 0);
+        assert_eq!(restored.now(), original.now());
 
-            let a = drain_and_digest(&mut original);
-            let b = drain_and_digest(&mut restored);
-            assert_eq!(a, b, "shards {save_shards} -> {restore_shards}");
-        }
+        let a = drain_and_digest(&mut original);
+        let b = drain_and_digest(&mut restored);
+        assert_eq!(a, b);
     }
 
     #[test]
     fn truncated_bytes_error_instead_of_panicking() {
-        let (_, original) = busy_net(1);
+        let (_, original) = busy_net();
         let mut w = ByteWriter::new();
         original.save(&mut w);
         let bytes = w.into_bytes();
@@ -487,7 +477,7 @@ mod tests {
 
     #[test]
     fn restore_rejects_a_different_topology() {
-        let (_, original) = busy_net(1);
+        let (_, original) = busy_net();
         let mut w = ByteWriter::new();
         original.save(&mut w);
         let bytes = w.into_bytes();

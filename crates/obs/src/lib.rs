@@ -272,7 +272,7 @@ impl Obs {
 
     /// Whether an epoch boundary has been reached or passed at `now`.
     /// The driver loop checks this each iteration and calls
-    /// [`Obs::record_sample`] when true; skipped epochs (fast-forward)
+    /// [`Obs::record_sample`] when true; epochs passed without a call
     /// collapse into one snapshot at the next aligned boundary.
     #[inline]
     pub fn sample_due(&self, now: u64) -> bool {
@@ -283,9 +283,7 @@ impl Obs {
     }
 
     /// The next armed epoch boundary, or `None` when sampling is off.
-    /// Drivers that batch-advance the clock use this to emit catch-up
-    /// snapshots at every boundary inside the skipped span, keeping the
-    /// sample timeline identical to per-cycle execution.
+    /// Snapshots record it so a resumed run arms the same boundary.
     #[inline]
     pub fn next_sample_at(&self) -> Option<u64> {
         match &self.inner {

@@ -13,8 +13,6 @@
 //! * [`floorplan`] — physical dimensions for the thermal model.
 //! * [`topology`] — the [`Topology`] trait, O(1) [`RouteMap`]s, and the
 //!   `--topology` spec grammar ([`TopoSpec`]).
-//! * [`shard`] — [`ShardPlan`]: cluster-row shard cuts and the boundary
-//!   tables the parallel network engine's window planner uses.
 //!
 //! # Examples
 //!
@@ -38,11 +36,9 @@
 pub mod floorplan;
 pub mod layout;
 pub mod placement;
-pub mod shard;
 pub mod topology;
 
 pub use floorplan::Floorplan;
 pub use layout::{ChipLayout, TopologyError};
 pub use placement::{CpuSeat, PlacementError, PlacementPolicy};
-pub use shard::ShardPlan;
 pub use topology::{MeshTopology, RouteMap, TopoSpec, TopoSpecError, Topology};

@@ -11,9 +11,10 @@
 //! Versioning rules:
 //!
 //! * The top-level [`SNAPSHOT_MAGIC`] / [`SNAPSHOT_VERSION`] pair gates
-//!   whole-file compatibility. Readers reject files whose version is
-//!   newer than what they understand with
-//!   [`CodecError::UnsupportedVersion`] instead of misparsing them.
+//!   whole-file compatibility. The global version is bumped only for
+//!   incompatible layout changes, so readers reject any file whose
+//!   version differs from theirs — older or newer — with
+//!   [`CodecError::UnsupportedVersion`] instead of misparsing it.
 //! * Each section carries its own `u16` version. A reader that finds a
 //!   section version above what it supports rejects the file the same
 //!   way; older versions may be accepted by sections that know how to
@@ -33,8 +34,9 @@ use core::fmt;
 /// Magic bytes opening every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"NIMSNAP\0";
 
-/// Current top-level snapshot format version.
-pub const SNAPSHOT_VERSION: u16 = 1;
+/// Current top-level snapshot format version. Version 1 images carried
+/// a since-removed byte in the `CFG ` section and are rejected.
+pub const SNAPSHOT_VERSION: u16 = 2;
 
 /// Error produced while decoding snapshot bytes.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -48,11 +50,13 @@ pub enum CodecError {
     },
     /// The file does not start with [`SNAPSHOT_MAGIC`].
     BadMagic,
-    /// The file (or a section) was written by a newer format version.
+    /// The file was written by another global format version, or a
+    /// section by a newer section version.
     UnsupportedVersion {
         /// Version found in the input.
         found: u16,
-        /// Highest version this reader supports.
+        /// The version this reader supports (the highest, for a
+        /// section).
         supported: u16,
     },
     /// The bytes are structurally inconsistent (bad tag, bad enum
@@ -73,7 +77,7 @@ impl fmt::Display for CodecError {
             CodecError::UnsupportedVersion { found, supported } => {
                 write!(
                     f,
-                    "snapshot version {found} is newer than supported version {supported}"
+                    "snapshot version {found} is not supported (this build reads version {supported})"
                 )
             }
             CodecError::Corrupt(what) => write!(f, "corrupt snapshot: {what}"),
@@ -241,7 +245,7 @@ impl<'a> ByteReader<'a> {
     /// # Errors
     ///
     /// [`CodecError::BadMagic`] if the magic does not match,
-    /// [`CodecError::UnsupportedVersion`] if the file is newer than
+    /// [`CodecError::UnsupportedVersion`] if the file's version is not
     /// [`SNAPSHOT_VERSION`].
     pub fn header(&mut self) -> Result<u16, CodecError> {
         let magic = self.take(SNAPSHOT_MAGIC.len())?;
@@ -249,7 +253,7 @@ impl<'a> ByteReader<'a> {
             return Err(CodecError::BadMagic);
         }
         let version = self.u16()?;
-        if version > SNAPSHOT_VERSION {
+        if version != SNAPSHOT_VERSION {
             return Err(CodecError::UnsupportedVersion {
                 found: version,
                 supported: SNAPSHOT_VERSION,

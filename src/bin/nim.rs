@@ -16,12 +16,11 @@ use std::io::BufWriter;
 use std::process::ExitCode;
 
 use network_in_memory::core::experiments::{
-    check_shard_invariance, latency_breakdown, scale_sweep, table3_thermal, ExperimentScale,
-    ScaleSpec,
+    latency_breakdown, scale_sweep, table3_thermal, ExperimentScale, ScaleSpec,
 };
 use network_in_memory::core::{FabricKind, Phase, Scheme, SystemBuilder};
 use network_in_memory::obs::{CategoryMask, Obs, ObsConfig};
-use network_in_memory::topology::{ChipLayout, ShardPlan, TopoSpec};
+use network_in_memory::topology::TopoSpec;
 use network_in_memory::types::{PillarPlacement, SystemConfig};
 use network_in_memory::workload::BenchmarkProfile;
 
@@ -35,8 +34,8 @@ COMMANDS:
     run        simulate one scheme on one benchmark
     compare    simulate all four schemes on one benchmark
     breakdown  per-phase latency decomposition, all four schemes
-    scale      sweep topologies × fabrics × shard counts; print
-               cycles/sec and per-cell fingerprints
+    scale      sweep topologies × fabrics; print cycles/sec and
+               per-cell fingerprints
     thermal    print the Table 3 thermal profiles
     list       list benchmarks and schemes
     help       show this message
@@ -59,15 +58,6 @@ OPTIONS (run / compare):
     --warmup <n>                               warm-up transactions (default 2000)
     --sample <n>                               sampled transactions (default 20000)
     --seed <n>                                 workload seed (default 42)
-    --shards <n|auto>                          advance the network as n
-                                               cluster-row shards on worker
-                                               threads (bit-identical; must
-                                               divide the selected topology's
-                                               cluster-row count, i.e.
-                                               layers × cluster-grid height;
-                                               'auto' picks the largest count
-                                               up to the machine's cores;
-                                               default: NIM_SHARDS, else 1)
 
 OPTIONS (scale; comma lists sweep the grid):
     --bench <name>                             benchmark profile (default swim)
@@ -76,9 +66,6 @@ OPTIONS (scale; comma lists sweep the grid):
     --l2-scale <a,b,..>                        L2 capacity factors (default 1)
     --placements <a,b,..>                      pillar placements (default spread)
     --fabric <a,b,..>                          substrates (default sim)
-    --shards <a,b,..>                          shard counts (default 1; cells
-                                               where shards do not divide the
-                                               cluster-row count are skipped)
     --warmup / --sample / --seed               as above
 
 SNAPSHOT / RESUME (run only):
@@ -90,9 +77,7 @@ SNAPSHOT / RESUME (run only):
                               transactions (requires --snapshot-out)
     --resume <path>           reconstruct a checkpointed run and carry it
                               to completion; scheme/benchmark/topology
-                              flags are ignored (the image records them),
-                              but --shards <n> re-cuts the resumed
-                              network (snapshots are shard-agnostic)
+                              flags are ignored (the image records them)
 
 OBSERVABILITY (run only; all off by default):
     --trace-out <path>        write a Chrome trace_event JSON file
@@ -134,8 +119,6 @@ struct Options {
     warmup: u64,
     sample: u64,
     seed: u64,
-    /// `None` keeps the builder default (`NIM_SHARDS`, else 1).
-    shards: Option<ShardArg>,
     trace_out: Option<String>,
     trace_filter: CategoryMask,
     metrics_out: Option<String>,
@@ -161,7 +144,6 @@ impl Default for Options {
             warmup: 2_000,
             sample: 20_000,
             seed: 42,
-            shards: None,
             trace_out: None,
             trace_filter: CategoryMask::default_trace(),
             metrics_out: None,
@@ -174,17 +156,9 @@ impl Default for Options {
     }
 }
 
-/// An explicit `--shards` argument: a fixed count, or `auto` (the
-/// largest count the topology supports up to the machine's cores).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ShardArg {
-    Count(usize),
-    Auto,
-}
-
 impl Options {
-    /// The configuration the selected topology flags describe, for
-    /// validation ahead of `build()` (which re-derives the same thing).
+    /// The configuration the selected topology flags describe: the
+    /// `--topology` preset, then the explicit `--layers`/`--pillars`.
     fn effective_config(&self) -> SystemConfig {
         let mut cfg = SystemConfig::default();
         self.topology.apply(&mut cfg);
@@ -196,30 +170,6 @@ impl Options {
         }
         cfg
     }
-}
-
-/// Rejects a `--shards` count the selected topology cannot honour — the
-/// shard executor cuts the chip into equal bands of whole cluster rows,
-/// so the count must divide `layers × cluster-grid height` or it would
-/// be silently clamped. An unbuildable topology is let through here so
-/// `build()` reports the real error.
-fn validate_shards(shards: usize, cfg: &SystemConfig) -> Result<(), String> {
-    let Ok(layout) = ChipLayout::new(cfg) else {
-        return Ok(());
-    };
-    let valid = ShardPlan::valid_counts(&layout);
-    if valid.contains(&shards) {
-        return Ok(());
-    }
-    let rows = ShardPlan::cluster_rows(&layout);
-    let counts: Vec<String> = valid.iter().map(|d| d.to_string()).collect();
-    Err(format!(
-        "--shards {shards} does not divide the selected topology's {rows} cluster rows \
-         ({} layers x {}-row cluster grid; valid shard counts: {}, or 'auto')",
-        cfg.network.layers,
-        layout.cluster_grid().1,
-        counts.join(", ")
-    ))
 }
 
 impl Options {
@@ -282,14 +232,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--warmup" => opts.warmup = value()?.parse().map_err(|e| format!("--warmup: {e}"))?,
             "--sample" => opts.sample = value()?.parse().map_err(|e| format!("--sample: {e}"))?,
             "--seed" => opts.seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--shards" => {
-                let v = value()?;
-                opts.shards = Some(if v.eq_ignore_ascii_case("auto") {
-                    ShardArg::Auto
-                } else {
-                    ShardArg::Count(v.parse().map_err(|e| format!("--shards: {e}"))?)
-                })
-            }
             "--trace-out" => opts.trace_out = Some(value()?),
             "--trace-filter" => {
                 opts.trace_filter =
@@ -318,14 +260,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     }
     if opts.snapshot_every > 0 && opts.snapshot_out.is_none() {
         return Err("--snapshot-every needs --snapshot-out".into());
-    }
-    if opts.resume.is_some() && opts.shards == Some(ShardArg::Auto) {
-        return Err("--resume takes an explicit --shards count, not 'auto'".into());
-    }
-    if let Some(ShardArg::Count(n)) = opts.shards {
-        if opts.resume.is_none() {
-            validate_shards(n, &opts.effective_config())?;
-        }
     }
     Ok(opts)
 }
@@ -365,13 +299,9 @@ fn run_checkpointed(
 
 /// Reconstructs a checkpointed run from `--resume` and carries it to
 /// completion; the image records the scheme, benchmark, topology, and
-/// observability, so only `--shards` applies.
-fn run_resumed(opts: &Options, path: &str) -> Result<(), Box<dyn Error>> {
-    let shards = match opts.shards {
-        Some(ShardArg::Count(n)) => Some(n),
-        _ => None,
-    };
-    let mut resumed = SystemBuilder::resume(path, shards)?;
+/// observability, so no other flag applies.
+fn run_resumed(path: &str) -> Result<(), Box<dyn Error>> {
+    let mut resumed = SystemBuilder::resume(path)?;
     let scheme = resumed.system().scheme();
     eprintln!(
         "resumed {} ({}) at cycle {}",
@@ -398,26 +328,15 @@ fn print_report(scheme: Scheme, report: &network_in_memory::core::RunReport) {
 }
 
 fn run_one(opts: &Options, scheme: Scheme, obs: Obs) -> Result<(), Box<dyn Error>> {
-    let mut builder = SystemBuilder::new(scheme)
-        .topology(&opts.topology)
+    let mut system = SystemBuilder::new(scheme)
+        .config(opts.effective_config())
         .l2_scale(opts.l2_scale)
         .fabric(opts.fabric)
         .warmup_transactions(opts.warmup)
         .sampled_transactions(opts.sample)
         .seed(opts.seed)
-        .observability(obs.clone());
-    if let Some(l) = opts.layers {
-        builder = builder.layers(l);
-    }
-    if let Some(p) = opts.pillars {
-        builder = builder.pillars(p);
-    }
-    match opts.shards {
-        Some(ShardArg::Count(n)) => builder = builder.shards(n),
-        Some(ShardArg::Auto) => builder = builder.shards_auto(),
-        None => {}
-    }
-    let mut system = builder.build()?;
+        .observability(obs.clone())
+        .build()?;
     let report = match &opts.snapshot_out {
         Some(path) => run_checkpointed(
             &mut system,
@@ -457,7 +376,6 @@ struct ScaleOptions {
     l2_scales: Vec<u32>,
     placements: Vec<PillarPlacement>,
     fabrics: Vec<FabricKind>,
-    shards: Vec<usize>,
     warmup: u64,
     sample: u64,
     seed: u64,
@@ -472,7 +390,6 @@ impl Default for ScaleOptions {
             l2_scales: vec![1],
             placements: vec![PillarPlacement::Spread],
             fabrics: vec![FabricKind::Sim],
-            shards: vec![1],
             warmup: 2_000,
             sample: 20_000,
             seed: 42,
@@ -534,11 +451,6 @@ fn parse_scale_options(args: &[String]) -> Result<ScaleOptions, String> {
                     FabricKind::parse(s).map_err(|v| format!("unknown fabric '{v}'"))
                 })?
             }
-            "--shards" => {
-                opts.shards = comma_list("--shards", &value()?, |s| {
-                    s.parse().map_err(|e| format!("{e}"))
-                })?
-            }
             "--warmup" => opts.warmup = value()?.parse().map_err(|e| format!("--warmup: {e}"))?,
             "--sample" => opts.sample = value()?.parse().map_err(|e| format!("--sample: {e}"))?,
             "--seed" => opts.seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
@@ -556,16 +468,13 @@ fn scale_grid(opts: &ScaleOptions) -> Vec<ScaleSpec> {
             for &l2_scale in &opts.l2_scales {
                 for &placement in &opts.placements {
                     for &fabric in &opts.fabrics {
-                        for &shards in &opts.shards {
-                            specs.push(ScaleSpec {
-                                layers,
-                                cpus,
-                                l2_scale,
-                                placement,
-                                fabric,
-                                shards,
-                            });
-                        }
+                        specs.push(ScaleSpec {
+                            layers,
+                            cpus,
+                            l2_scale,
+                            placement,
+                            fabric,
+                        });
                     }
                 }
             }
@@ -587,7 +496,6 @@ fn cmd_scale(opts: &ScaleOptions) -> Result<(), Box<dyn Error>> {
         "{:<44} {:>12} {:>8} {:>12} {:>8} {:>8} {:>18}",
         "cell", "cycles", "wall s", "cycles/sec", "hits", "misses", "fingerprint"
     );
-    let mut cells = Vec::new();
     for (spec, result) in specs.iter().zip(results) {
         match result {
             Some(cell) => {
@@ -601,13 +509,9 @@ fn cmd_scale(opts: &ScaleOptions) -> Result<(), Box<dyn Error>> {
                     cell.report.counters.l2_misses,
                     cell.fingerprint
                 );
-                cells.push(cell);
             }
             None => println!("{:<44} skipped (unbuildable cell)", spec.label()),
         }
-    }
-    if let Err((a, b)) = check_shard_invariance(&cells) {
-        return Err(format!("shard-count fingerprint mismatch: [{a}] vs [{b}]").into());
     }
     Ok(())
 }
@@ -653,7 +557,7 @@ fn main() -> ExitCode {
         "run" => parse_options(&args[1..])
             .map_err(Into::into)
             .and_then(|opts| match opts.resume.clone() {
-                Some(path) => run_resumed(&opts, &path),
+                Some(path) => run_resumed(&path),
                 None => {
                     println!("benchmark: {}", opts.bench.name);
                     run_one(&opts, opts.scheme, opts.obs())
@@ -763,36 +667,6 @@ mod tests {
     }
 
     #[test]
-    fn shards_must_divide_the_selected_layer_count() {
-        // 3 shards cannot split the default 2-layer stack's 4 cluster rows.
-        let err = parse_options(&args(&["--shards", "3"])).unwrap_err();
-        assert!(err.contains("does not divide"), "{err}");
-        assert!(err.contains("1, 2"), "lists the valid divisors: {err}");
-        assert!(err.contains("auto"), "points at --shards auto: {err}");
-        // Cluster-row cuts go finer than layers: 4 shards split the
-        // 2-layer stack (each layer's cluster grid is 2 rows tall).
-        assert!(parse_options(&args(&["--shards", "4"])).is_ok());
-        // An unbuildable topology defers its error to build().
-        assert!(parse_options(&args(&["--shards", "3", "--layers", "3"])).is_ok());
-        assert!(
-            parse_options(&args(&["--shards", "4", "--topology", "8-layer"])).is_ok(),
-            "validation sees the --topology layer count"
-        );
-        assert!(
-            parse_options(&args(&[
-                "--shards",
-                "8",
-                "--topology",
-                "8-layer",
-                "--layers",
-                "2"
-            ]))
-            .is_err(),
-            "explicit --layers overrides the preset for validation too"
-        );
-    }
-
-    #[test]
     fn scale_options_parse_comma_grids() {
         let opts = parse_scale_options(&args(&[
             "--layers",
@@ -803,8 +677,6 @@ mod tests {
             "spread,corners",
             "--fabric",
             "sim,ideal",
-            "--shards",
-            "1,2",
             "--sample",
             "500",
         ]))
@@ -813,10 +685,9 @@ mod tests {
         assert_eq!(opts.cpus, vec![4, 8]);
         assert_eq!(opts.placements.len(), 2);
         assert_eq!(opts.fabrics, vec![FabricKind::Sim, FabricKind::Ideal]);
-        assert_eq!(opts.shards, vec![1, 2]);
         assert_eq!(opts.sample, 500);
         let grid = scale_grid(&opts);
-        assert_eq!(grid.len(), 2 * 2 * 2 * 2 * 2);
+        assert_eq!(grid.len(), 2 * 2 * 2 * 2);
         assert!(parse_scale_options(&args(&["--placements", "everywhere"]))
             .unwrap_err()
             .contains("everywhere"));
@@ -841,8 +712,6 @@ mod tests {
             "100",
             "--seed",
             "7",
-            "--shards",
-            "2",
         ]))
         .unwrap();
         assert_eq!(opts.scheme, Scheme::CmpSnuca3d);
@@ -853,23 +722,6 @@ mod tests {
         assert_eq!(opts.warmup, 10);
         assert_eq!(opts.sample, 100);
         assert_eq!(opts.seed, 7);
-        assert_eq!(opts.shards, Some(ShardArg::Count(2)));
-    }
-
-    #[test]
-    fn shards_defaults_to_builder_choice() {
-        assert_eq!(parse_options(&[]).unwrap().shards, None);
-        assert!(parse_options(&args(&["--shards", "zero?"]))
-            .unwrap_err()
-            .contains("--shards"));
-    }
-
-    #[test]
-    fn shards_auto_parses_on_any_topology() {
-        let opts = parse_options(&args(&["--shards", "AUTO"])).unwrap();
-        assert_eq!(opts.shards, Some(ShardArg::Auto));
-        // 'auto' never fails validation — the builder clamps it.
-        assert!(parse_options(&args(&["--shards", "auto", "--layers", "8"])).is_ok());
     }
 
     #[test]
@@ -926,17 +778,8 @@ mod tests {
         assert!(parse_options(&args(&["--snapshot-every", "100"]))
             .unwrap_err()
             .contains("--snapshot-out"));
-        let opts = parse_options(&args(&["--resume", "ckpt.nim", "--shards", "2"])).unwrap();
+        let opts = parse_options(&args(&["--resume", "ckpt.nim"])).unwrap();
         assert_eq!(opts.resume.as_deref(), Some("ckpt.nim"));
-        // A resumed network is re-cut from the image's topology, so the
-        // flag-derived shard validation does not apply...
-        assert!(parse_options(&args(&["--resume", "ckpt.nim", "--shards", "3"])).is_ok());
-        // ...but 'auto' needs a builder and is rejected up front.
-        assert!(
-            parse_options(&args(&["--resume", "ckpt.nim", "--shards", "auto"]))
-                .unwrap_err()
-                .contains("auto")
-        );
     }
 
     #[test]
@@ -961,5 +804,11 @@ mod tests {
         assert!(parse_options(&args(&["--layers", "xyz"]))
             .unwrap_err()
             .contains("--layers"));
+        assert!(parse_options(&args(&["--shards", "2"]))
+            .unwrap_err()
+            .contains("unknown option '--shards'"));
+        assert!(parse_scale_options(&args(&["--shards", "2"]))
+            .unwrap_err()
+            .contains("unknown option '--shards'"));
     }
 }
