@@ -301,6 +301,24 @@ fn version_mismatched_snapshots_fail_with_a_typed_error() {
 }
 
 #[test]
+fn snapshots_whose_recipe_does_not_build_fail_with_a_typed_error() {
+    let mut bytes = valid_snapshot();
+    // The `CFG ` section's u32 length sits at bytes 20..24 (see above)
+    // and its body ends with `vcs_per_port` and `vc_depth_flits`.
+    let len = u32::from_le_bytes(bytes[20..24].try_into().unwrap()) as usize;
+    let at = 24 + len - 8;
+    assert_eq!(bytes[at..at + 8], [3, 0, 0, 0, 4, 0, 0, 0], "default VCs");
+    bytes[at..at + 4].copy_from_slice(&0u32.to_le_bytes());
+    match SystemBuilder::resume_from(&bytes, None) {
+        Err(SnapshotError::Build(e)) => assert!(
+            e.to_string().contains("network.vcs_per_port"),
+            "names the field: {e}"
+        ),
+        other => panic!("a zero-VC recipe must fail with Build, got {other:?}"),
+    }
+}
+
+#[test]
 fn unknown_benchmarks_fail_with_a_typed_error() {
     let mut bytes = valid_snapshot();
     // The benchmark name is stored once, in the WKLD section; misspell

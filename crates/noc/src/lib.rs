@@ -41,6 +41,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod bitset;
 mod dtdma;
 mod latency;
 mod network;

@@ -10,6 +10,8 @@
 use nim_obs::{Category, EventData};
 use nim_types::{Coord, Cycle, Dir};
 
+use crate::bitset::Bits;
+
 use super::Network;
 
 impl Network {
@@ -17,21 +19,11 @@ impl Network {
         if self.bus_active.is_empty() {
             return;
         }
-        let mut work =
-            std::mem::replace(&mut self.bus_active, std::mem::take(&mut self.bus_scratch));
-        work.sort_unstable();
-        for &b in &work {
-            self.in_bus_active[b as usize] = false;
-        }
-        for &b in &work {
-            let b = b as usize;
-            self.process_bus(b, now);
-            if self.bus_queued(b) > 0 {
-                self.mark_bus(b);
+        for w in 0..self.bus_active.num_words() {
+            for b in Bits(self.bus_active.word(w)) {
+                self.process_bus(w * 64 + b, now);
             }
         }
-        work.clear();
-        self.bus_scratch = work;
     }
 
     /// One dTDMA arbitration round: at most one flit crosses the bus.
@@ -69,15 +61,13 @@ impl Network {
             let (px, py) = self.buses[b].xy;
             let dest_idx = self.layout.node_index(Coord::new(px, py, front.dst.layer));
             let vi = Dir::Vertical.index();
-            let port = self.routers[dest_idx].inputs[vi]
-                .as_ref()
-                .expect("pillar node lacks vertical port");
             let vc_sel = if front.kind.is_head() {
-                port.free_vc()
+                self.routers[dest_idx].free_vc(vi, self.vcs)
             } else {
-                self.ifaces[src_iface]
-                    .bound_vc
-                    .filter(|&v| port.vc(v).accepts_continuation(front.pkt))
+                self.ifaces[src_iface].bound_vc.filter(|&v| {
+                    self.vc(dest_idx, vi * self.vcs + v)
+                        .accepts_continuation(front.pkt)
+                })
             };
             let Some(vc) = vc_sel else {
                 continue;
@@ -102,13 +92,10 @@ impl Network {
             f.bus_wait += (now.0 - f.arrived.0) as u32;
             f.arrived = now;
             f.hops += 1;
-            self.routers[dest_idx].inputs[vi]
-                .as_mut()
-                .expect("checked above")
-                .vc_mut(vc)
-                .push(&mut self.arena, f);
-            self.routers[dest_idx].occupancy += 1;
-            self.mark_dirty(dest_idx);
+            self.vc_push(dest_idx, vi * self.vcs + vc, f);
+            if self.bus_queued(b) == 0 {
+                self.bus_active.remove(b);
+            }
             let iface = &mut self.ifaces[src_iface];
             iface.bound_vc = if f.kind.is_tail() {
                 None

@@ -3,6 +3,7 @@
 
 use nim_types::{Cycle, Dir};
 
+use crate::bitset::Bits;
 use crate::packet::{Flit, FlitKind};
 
 use super::Network;
@@ -12,62 +13,52 @@ impl Network {
         if self.inj_active.is_empty() {
             return;
         }
-        let mut active =
-            std::mem::replace(&mut self.inj_active, std::mem::take(&mut self.inj_scratch));
-        active.sort_unstable();
-        for &n in &active {
-            self.in_inj[n as usize] = false;
-        }
-        for &n in &active {
-            let n = n as usize;
-            let li = Dir::Local.index();
-            if let Some(p) = self.injectors[n].queue.front().copied() {
+        let li = Dir::Local.index();
+        for w in 0..self.inj_active.num_words() {
+            for b in Bits(self.inj_active.word(w)) {
+                let n = w * 64 + b;
+                let p = *self.injectors[n]
+                    .queue
+                    .front()
+                    .expect("active injector holds a packet");
                 let kind = FlitKind::for_position(p.seq, p.req.flits);
-                let port = self.routers[n].inputs[li].as_mut().expect("local port");
                 let vc_sel = if kind.is_head() {
-                    port.free_vc()
+                    self.routers[n].free_vc(li, self.vcs)
                 } else {
                     self.injectors[n]
                         .vc
-                        .filter(|&v| port.vc(v).accepts_continuation(p.id))
+                        .filter(|&v| self.vc(n, li * self.vcs + v).accepts_continuation(p.id))
                 };
-                if let Some(v) = vc_sel {
-                    let flit = Flit {
-                        pkt: p.id,
-                        kind,
-                        src: p.req.src,
-                        dst: p.req.dst,
-                        via: p.req.via,
-                        class: p.req.class,
-                        token: p.req.token,
-                        injected: p.injected,
-                        arrived: now,
-                        hops: 0,
-                        bus_wait: 0,
-                    };
-                    self.routers[n].inputs[li]
-                        .as_mut()
-                        .expect("local port")
-                        .vc_mut(v)
-                        .push(&mut self.arena, flit);
-                    self.routers[n].occupancy += 1;
-                    self.mark_dirty(n);
-                    let inj = &mut self.injectors[n];
-                    let front = inj.queue.front_mut().expect("checked above");
-                    front.seq += 1;
-                    if front.seq == front.req.flits {
-                        inj.queue.pop_front();
-                        inj.vc = None;
-                    } else {
-                        inj.vc = Some(v);
+                let Some(v) = vc_sel else {
+                    continue;
+                };
+                let flit = Flit {
+                    pkt: p.id,
+                    kind,
+                    src: p.req.src,
+                    dst: p.req.dst,
+                    via: p.req.via,
+                    class: p.req.class,
+                    token: p.req.token,
+                    injected: p.injected,
+                    arrived: now,
+                    hops: 0,
+                    bus_wait: 0,
+                };
+                self.vc_push(n, li * self.vcs + v, flit);
+                let inj = &mut self.injectors[n];
+                let front = inj.queue.front_mut().expect("checked above");
+                front.seq += 1;
+                if front.seq == front.req.flits {
+                    inj.queue.pop_front();
+                    inj.vc = None;
+                    if inj.queue.is_empty() {
+                        self.inj_active.remove(n);
                     }
+                } else {
+                    inj.vc = Some(v);
                 }
             }
-            if !self.injectors[n].queue.is_empty() {
-                self.mark_inj(n);
-            }
         }
-        active.clear();
-        self.inj_scratch = active;
     }
 }

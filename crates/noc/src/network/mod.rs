@@ -18,13 +18,21 @@
 //!
 //! A flit stamped `arrived == now` cannot move again in the same cycle, so
 //! ordering of phases never lets a flit traverse two hops per cycle.
-//! Routers with no buffered flits are skipped entirely via a dirty list,
-//! buses with nothing queued via an active-pillar list, which keeps big
-//! idle meshes cheap to tick.
 //!
-//! Every VC and transceiver FIFO of the chip draws its storage from one
-//! pooled [`FlitArena`], so moving a flit is a copy between two ring
-//! slots of the same slab.
+//! Each phase visits only what holds work, in ascending index order:
+//! routers with buffered flits, buses with queued flits and nodes with
+//! packets pending injection are kept in [`BitSet`]s, maintained as flits
+//! enter and leave, and an empty set is recognised in O(1), which keeps
+//! big idle meshes cheap to tick. Within a router, bitmasks over its VCs
+//! (`live`, `owned`) and outputs (`held_mask`) let switch allocation read
+//! only the VCs that hold flits and arbitrate only the outputs that are
+//! requested or held; a head flit's output port is computed once, when
+//! it enters a VC, and stored there (look-ahead routing).
+//!
+//! Every VC of the chip lives in one network-wide vector indexed
+//! `(node * Dir::COUNT + dir) * vcs + vc`, and every VC and transceiver
+//! FIFO draws its storage from one pooled [`FlitArena`], so moving a flit
+//! is a copy between two ring slots of the same slab.
 
 mod bus_phase;
 mod injection;
@@ -37,11 +45,13 @@ use nim_obs::{Category, EventData, Obs};
 use nim_topology::{ChipLayout, RouteMap};
 use nim_types::{Coord, Cycle, Dir, NetworkConfig, PacketId};
 
+use crate::bitset::{BitSet, Bits};
 use crate::dtdma::{BusStats, DtdmaBus, Iface};
 use crate::packet::{Delivered, Flit, FlitArena, SendRequest};
 use crate::router::Router;
-use crate::routing::VerticalMode;
+use crate::routing::{route, VerticalMode};
 use crate::stats::NetworkStats;
+use crate::vc::Vc;
 
 /// One pending packet at a node's network interface.
 #[derive(Clone, Copy, Debug)]
@@ -58,18 +68,6 @@ struct Injector {
     queue: VecDeque<Pending>,
     /// VC the current packet is streaming into.
     vc: Option<usize>,
-}
-
-/// One movable head flit found during a router's single input scan,
-/// with its route already computed (look-ahead routing runs once per
-/// flit instead of once per output port probed).
-#[derive(Clone, Copy, Debug)]
-struct Candidate {
-    /// `in_dir * vcs + vc`, the round-robin arbitration slot.
-    slot: u16,
-    /// Output port the flit requests.
-    out: Dir,
-    flit: Flit,
 }
 
 /// The on-chip network: stacked wormhole meshes joined by dTDMA pillars
@@ -91,32 +89,26 @@ pub struct Network {
     /// Per-bus earliest next grant time (serialisation of narrow buses).
     bus_ready_at: Vec<u64>,
     routers: Vec<Router>,
+    /// Every VC of the chip, indexed `(node * Dir::COUNT + dir) * vcs +
+    /// vc`; ports a router lacks hold [`Vc::ABSENT`].
+    vc_slots: Vec<Vc>,
     buses: Vec<DtdmaBus>,
     /// Bus index at each node position, if the node is a pillar node.
     bus_of_node: Vec<Option<u16>>,
     injectors: Vec<Injector>,
     outbox: Vec<VecDeque<Delivered>>,
-    delivered_nodes: Vec<u32>,
-    in_delivered: Vec<bool>,
-    in_dirty: Vec<bool>,
-    in_inj: Vec<bool>,
-    /// Buses with at least one queued flit (the pillar analogue of the
-    /// router dirty list).
-    bus_active: Vec<u16>,
-    in_bus_active: Vec<bool>,
+    /// Nodes whose outbox holds deliveries.
+    delivered: BitSet,
+    /// Routers with buffered flits (`occupancy > 0`).
+    dirty: BitSet,
+    /// Nodes with packets pending injection.
+    inj_active: BitSet,
+    /// Buses with at least one queued flit.
+    bus_active: BitSet,
     /// Pooled backing store for every VC and transceiver FIFO.
     arena: FlitArena,
     /// Pillar transceiver interfaces, indexed `bus * layers + layer`.
     ifaces: Vec<Iface>,
-    /// Routers with buffered flits.
-    dirty: Vec<u32>,
-    /// Nodes with packets pending injection.
-    inj_active: Vec<u32>,
-    /// Retired work lists, kept to reuse their capacity each cycle.
-    dirty_scratch: Vec<u32>,
-    inj_scratch: Vec<u32>,
-    cand_scratch: Vec<Candidate>,
-    bus_scratch: Vec<u16>,
     now: Cycle,
     next_pkt: u64,
     flits_in_flight: u64,
@@ -140,12 +132,21 @@ impl Network {
     /// `mode` selects the vertical interconnect: [`VerticalMode::Pillars`]
     /// is the paper's hybrid NoC/bus design; [`VerticalMode::Mesh3d`] is
     /// the rejected 7-port router kept for the design-search ablation.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `cfg.vcs_per_port` is 1–8 (a router's VCs share one
+    /// 64-bit mask) and `cfg.vc_depth_flits` is 1–16384;
+    /// [`SystemConfig::validate`](nim_types::SystemConfig::validate)
+    /// rejects other values with a typed error.
     pub fn new(layout: &ChipLayout, cfg: &NetworkConfig, mode: VerticalMode) -> Self {
         let vcs = cfg.vcs_per_port as usize;
+        assert!((1..=8).contains(&vcs), "1 to 8 VCs per port supported");
         let depth = cfg.vc_depth_flits as usize;
         let n = layout.num_nodes();
         let mut arena = FlitArena::default();
         let mut routers = Vec::with_capacity(n);
+        let mut vc_slots = Vec::with_capacity(n * Dir::COUNT * vcs);
         let mut bus_of_node = vec![None; n];
         for i in 0..n {
             let c = layout.coord_of_index(i);
@@ -170,7 +171,17 @@ impl Network {
                     }
                 }
             }
-            routers.push(Router::new(&mut arena, c, &dirs, &dirs, vcs, depth));
+            let router = Router::new(c, &dirs);
+            for d in 0..Dir::COUNT {
+                for _ in 0..vcs {
+                    vc_slots.push(if router.has_port(d) {
+                        Vc::new(&mut arena, depth)
+                    } else {
+                        Vc::ABSENT
+                    });
+                }
+            }
+            routers.push(router);
         }
         let mut buses = Vec::new();
         let mut ifaces = Vec::new();
@@ -194,25 +205,18 @@ impl Network {
             router_latency: u64::from(cfg.router_latency).max(1),
             bus_cycles_per_flit: u64::from(cfg.bus_cycles_per_flit()).max(1),
             bus_ready_at: vec![0; buses.len()],
-            in_bus_active: vec![false; buses.len()],
+            bus_active: BitSet::new(buses.len()),
             routers,
+            vc_slots,
             buses,
             bus_of_node,
             injectors: vec![Injector::default(); n],
             outbox: vec![VecDeque::new(); n],
-            delivered_nodes: Vec::new(),
-            in_delivered: vec![false; n],
-            in_dirty: vec![false; n],
-            in_inj: vec![false; n],
-            bus_active: Vec::new(),
+            delivered: BitSet::new(n),
+            dirty: BitSet::new(n),
+            inj_active: BitSet::new(n),
             arena,
             ifaces,
-            dirty: Vec::new(),
-            inj_active: Vec::new(),
-            dirty_scratch: Vec::new(),
-            inj_scratch: Vec::new(),
-            cand_scratch: Vec::new(),
-            bus_scratch: Vec::new(),
             now: Cycle::ZERO,
             next_pkt: 0,
             flits_in_flight: 0,
@@ -317,7 +321,7 @@ impl Network {
             seq: 0,
             injected: self.now,
         });
-        self.mark_inj(node);
+        self.inj_active.insert(node);
         self.flits_in_flight += u64::from(req.flits);
         self.stats.packets_sent += 1;
         self.obs.emit(Category::Packet, || EventData::PacketInject {
@@ -333,7 +337,11 @@ impl Network {
     /// Pops the oldest packet delivered at node `c`, if any.
     pub fn pop_delivered(&mut self, c: Coord) -> Option<Delivered> {
         let idx = self.layout.node_index(c);
-        self.outbox[idx].pop_front()
+        let d = self.outbox[idx].pop_front();
+        if self.outbox[idx].is_empty() {
+            self.delivered.remove(idx);
+        }
+        d
     }
 
     /// Drains every delivered packet, in (node, arrival) order.
@@ -346,29 +354,22 @@ impl Network {
     /// Whether any delivered packets await pickup.
     #[inline]
     pub fn has_deliveries(&self) -> bool {
-        !self.delivered_nodes.is_empty()
+        !self.delivered.is_empty()
     }
 
     /// Drains all delivered packets into `buf` (in node order, then
     /// arrival order per node), touching only the nodes that actually
     /// received something.
     pub fn drain_delivered_into(&mut self, buf: &mut Vec<Delivered>) {
-        // Single receiver — the common case when draining every cycle —
-        // needs no sort.
-        if let [n] = self.delivered_nodes[..] {
-            self.delivered_nodes.clear();
-            self.in_delivered[n as usize] = false;
-            buf.extend(self.outbox[n as usize].drain(..));
+        if self.delivered.is_empty() {
             return;
         }
-        let mut nodes = std::mem::take(&mut self.delivered_nodes);
-        nodes.sort_unstable();
-        for &n in &nodes {
-            self.in_delivered[n as usize] = false;
-            buf.extend(self.outbox[n as usize].drain(..));
+        for w in 0..self.delivered.num_words() {
+            for b in Bits(self.delivered.word(w)) {
+                buf.extend(self.outbox[w * 64 + b].drain(..));
+            }
         }
-        nodes.clear();
-        self.delivered_nodes = nodes;
+        self.delivered.clear();
     }
 
     /// Advances the network by one clock cycle.
@@ -409,28 +410,63 @@ impl Network {
             .sum()
     }
 
+    /// Index in `vc_slots` of the VC in `slot` (`dir * vcs + vc`) of
+    /// router `n`.
     #[inline]
-    fn mark_dirty(&mut self, node: usize) {
-        if !self.in_dirty[node] {
-            self.in_dirty[node] = true;
-            self.dirty.push(node as u32);
-        }
+    fn vc_ix(&self, n: usize, slot: usize) -> usize {
+        n * Dir::COUNT * self.vcs + slot
     }
 
+    /// The VC in `slot` of router `n`.
     #[inline]
-    fn mark_inj(&mut self, node: usize) {
-        if !self.in_inj[node] {
-            self.in_inj[node] = true;
-            self.inj_active.push(node as u32);
-        }
+    fn vc(&self, n: usize, slot: usize) -> &Vc {
+        &self.vc_slots[self.vc_ix(n, slot)]
     }
 
+    /// Router `n`'s VCs, indexed by slot.
     #[inline]
-    fn mark_bus(&mut self, bus: usize) {
-        if !self.in_bus_active[bus] {
-            self.in_bus_active[bus] = true;
-            self.bus_active.push(bus as u16);
+    fn router_vcs(&self, n: usize) -> &[Vc] {
+        &self.vc_slots[self.vc_ix(n, 0)..self.vc_ix(n + 1, 0)]
+    }
+
+    /// Pushes `f` into VC `slot` of router `n`, keeping the router's
+    /// masks, occupancy and dirty bit in step. A head flit records the
+    /// output port its packet takes from this router (look-ahead
+    /// routing, once per hop).
+    fn vc_push(&mut self, n: usize, slot: usize, f: Flit) {
+        let i = self.vc_ix(n, slot);
+        let r = &mut self.routers[n];
+        if f.kind.is_head() {
+            self.vc_slots[i].route =
+                route(&self.layout, &self.routes, self.mode, r.coord, f.dst, f.via);
+            r.owned |= 1 << slot;
         }
+        self.vc_slots[i].push(&mut self.arena, f);
+        r.live |= 1 << slot;
+        if r.occupancy == 0 {
+            self.dirty.insert(n);
+        }
+        r.occupancy += 1;
+    }
+
+    /// Pops the front flit of VC `slot` of router `n`; the mirror of
+    /// [`Network::vc_push`].
+    fn vc_pop(&mut self, n: usize, slot: usize) -> Flit {
+        let i = self.vc_ix(n, slot);
+        let vc = &mut self.vc_slots[i];
+        let f = vc.pop(&self.arena).expect("popped VC holds a flit");
+        let r = &mut self.routers[n];
+        if vc.fifo().is_empty() {
+            r.live &= !(1 << slot);
+        }
+        if vc.owner().is_none() {
+            r.owned &= !(1 << slot);
+        }
+        r.occupancy -= 1;
+        if r.occupancy == 0 {
+            self.dirty.remove(n);
+        }
+        f
     }
 }
 

@@ -1,180 +1,122 @@
 //! The router phase: switch allocation and flit traversal for every
-//! active router, in node-index order.
+//! router holding flits, in node-index order.
 //!
-//! A mesh hop marks the destination router dirty for the *next* cycle:
-//! the phase works on a snapshot of the dirty list, and the just-arrived
-//! flit is stamped `arrived == now`, so it cannot move again this cycle.
+//! A mesh hop can make a router dirty mid-phase; if it is visited later in
+//! the same phase its just-arrived flit, stamped `arrived == now`, cannot
+//! move, so the visit changes nothing.
 
 use nim_obs::{Category, EventData};
 use nim_types::{Coord, Cycle, Dir};
 
+use crate::bitset::Bits;
 use crate::packet::{Delivered, Flit};
-use crate::router::Hold;
-use crate::routing::route;
+use crate::router::{port_slots, Hold};
 
-use super::{c3, Candidate, Network};
+use super::{c3, Network};
 
 impl Network {
     pub(super) fn router_phase(&mut self, now: Cycle) {
         if self.dirty.is_empty() {
             return;
         }
-        let mut work = std::mem::replace(&mut self.dirty, std::mem::take(&mut self.dirty_scratch));
-        work.sort_unstable();
-        for &n in &work {
-            self.in_dirty[n as usize] = false;
-        }
-        for &n in &work {
-            let n = n as usize;
-            if self.routers[n].occupancy == 0 {
-                continue;
-            }
-            self.process_router(n, now);
-            if self.routers[n].occupancy > 0 {
-                self.mark_dirty(n);
+        for w in 0..self.dirty.num_words() {
+            for b in Bits(self.dirty.word(w)) {
+                self.process_router(w * 64 + b, now);
             }
         }
-        work.clear();
-        self.dirty_scratch = work;
     }
 
-    /// Switch allocation for one router: a single scan over the input VCs
-    /// collects every movable head flit (routing each once), then every
-    /// output port arbitrates among its candidates in round-robin slot
-    /// order. Moves performed while an output is served only ever change
-    /// the fronts of inputs recorded in `used_input`, which later outputs
-    /// skip, so the pre-collected candidates stay exact.
+    /// Switch allocation for one router. One walk over the VCs that hold
+    /// flits turns every movable head flit into a request bit on the
+    /// output its VC's stored route names; then every output that is
+    /// requested or held arbitrates, in port order. Moves performed while
+    /// an output is served only ever change the fronts of inputs recorded
+    /// in `used`, which later outputs skip, so the requests stay exact.
     fn process_router(&mut self, n: usize, now: Cycle) {
-        let vcs = self.vcs;
-        let at = self.routers[n].coord;
-        let mut cands = std::mem::take(&mut self.cand_scratch);
-        debug_assert!(cands.is_empty());
-        for (in_dir, input) in self.routers[n].inputs.iter().enumerate() {
-            let Some(port) = input else { continue };
-            for vc in 0..vcs {
-                let Some(front) = port.vc(vc).front(&self.arena) else {
-                    continue;
-                };
-                if front.arrived.0 + self.router_latency > now.0 || !front.kind.is_head() {
-                    continue;
-                }
-                cands.push(Candidate {
-                    slot: (in_dir * vcs + vc) as u16,
-                    out: route(
-                        &self.layout,
-                        &self.routes,
-                        self.mode,
-                        at,
-                        front.dst,
-                        front.via,
-                    ),
-                    flit: *front,
-                });
+        let r = &self.routers[n];
+        let mut requests = [0u64; Dir::COUNT];
+        let mut outputs = r.held_mask;
+        for slot in Bits(r.live) {
+            let vc = self.vc(n, slot);
+            let front = vc.front(&self.arena).expect("live VC holds a flit");
+            if front.kind.is_head() && front.arrived.0 + self.router_latency <= now.0 {
+                let o = vc.route.index();
+                requests[o] |= 1 << slot;
+                outputs |= 1 << o;
             }
         }
-        let mut used_input = [false; Dir::COUNT];
-        for out in Dir::ALL {
-            if self.routers[n].has_output(out) {
-                self.process_output(n, out, now, &mut used_input, &cands);
-            }
+        let mut used = 0u64;
+        for o in Bits(u64::from(outputs & r.ports)) {
+            self.process_output(n, Dir::ALL[o], now, &mut used, requests[o]);
         }
-        cands.clear();
-        self.cand_scratch = cands;
     }
 
     /// Switch allocation and traversal for one output port of one router.
-    fn process_output(
-        &mut self,
-        n: usize,
-        out: Dir,
-        now: Cycle,
-        used_input: &mut [bool; Dir::COUNT],
-        cands: &[Candidate],
-    ) {
+    /// `requests` holds the slots of the head flits routed to it; `used`
+    /// the slots of every input that already moved a flit this cycle.
+    fn process_output(&mut self, n: usize, out: Dir, now: Cycle, used: &mut u64, requests: u64) {
         let oi = out.index();
+        let vcs = self.vcs;
         // An output already claimed by a packet serves only that packet.
         if let Some(hold) = self.routers[n].held[oi] {
-            if used_input[hold.in_dir] {
+            let slot = hold.in_dir * vcs + hold.vc;
+            if *used & (1 << slot) != 0 {
                 return;
             }
-            let front = self.routers[n].inputs[hold.in_dir]
-                .as_ref()
-                .and_then(|p| p.vc(hold.vc).front(&self.arena))
-                .copied();
-            let Some(front) = front else { return };
+            let Some(&front) = self.vc(n, slot).front(&self.arena) else {
+                return;
+            };
             if front.pkt != hold.pkt || front.arrived.0 + self.router_latency > now.0 {
                 return;
             }
-            if self.try_move(n, hold.in_dir, hold.vc, out, &front, now) {
-                used_input[hold.in_dir] = true;
+            if self.try_move(n, slot, out, &front, now) {
+                *used |= port_slots(hold.in_dir, vcs);
                 if front.kind.is_tail() {
-                    self.routers[n].held[oi] = None;
+                    self.routers[n].set_hold(oi, None);
                 }
             } else {
                 self.stats.switch_contention += 1;
             }
             return;
         }
-        // Free output: round-robin over head flits requesting it.
-        let vcs = self.vcs;
-        let total = (Dir::COUNT * vcs) as u16;
-        let rrp = self.routers[n].rr[oi];
-        let mut winner: Option<Candidate> = None;
-        let mut best_rank = u16::MAX;
-        let mut eligible = 0u64;
-        for c in cands {
-            if c.out != out || used_input[usize::from(c.slot) / vcs] {
-                continue;
-            }
-            eligible += 1;
-            let rank = (c.slot + total - rrp) % total;
-            if rank < best_rank {
-                best_rank = rank;
-                winner = Some(*c);
-            }
-        }
-        if eligible > 1 {
-            self.stats.switch_contention += eligible - 1;
-        }
-        let Some(c) = winner else {
+        // Free output: round-robin over head flits requesting it — the
+        // first eligible slot at or after the pointer, else the first.
+        let eligible = requests & !*used;
+        if eligible == 0 {
             return;
-        };
-        let (in_dir, vc) = (usize::from(c.slot) / vcs, usize::from(c.slot) % vcs);
-        if self.try_move(n, in_dir, vc, out, &c.flit, now) {
-            used_input[in_dir] = true;
-            if !c.flit.kind.is_tail() {
-                self.routers[n].held[oi] = Some(Hold {
-                    pkt: c.flit.pkt,
+        }
+        self.stats.switch_contention += u64::from(eligible.count_ones() - 1);
+        let rrp = self.routers[n].rr[oi];
+        let from_rr = eligible & (u64::MAX << rrp);
+        let slot = if from_rr != 0 { from_rr } else { eligible }.trailing_zeros() as usize;
+        let front = *self
+            .vc(n, slot)
+            .front(&self.arena)
+            .expect("requesting VC holds its head");
+        let in_dir = slot / vcs;
+        if self.try_move(n, slot, out, &front, now) {
+            *used |= port_slots(in_dir, vcs);
+            if !front.kind.is_tail() {
+                let hold = Hold {
+                    pkt: front.pkt,
                     in_dir,
-                    vc,
-                });
+                    vc: slot % vcs,
+                };
+                self.routers[n].set_hold(oi, Some(hold));
             }
-            self.routers[n].rr[oi] = (c.slot + 1) % total;
+            self.routers[n].rr[oi] = ((slot + 1) % (Dir::COUNT * vcs)) as u16;
         } else {
             self.stats.switch_contention += 1;
         }
     }
 
-    /// Attempts the actual flit traversal. Returns `false` when downstream
-    /// has no space or no free VC (speculation failure — retry next cycle).
-    fn try_move(
-        &mut self,
-        n: usize,
-        in_dir: usize,
-        vc: usize,
-        out: Dir,
-        front: &Flit,
-        now: Cycle,
-    ) -> bool {
+    /// Attempts the actual flit traversal of the front flit of VC `slot`.
+    /// Returns `false` when downstream has no space or no free VC
+    /// (speculation failure — retry next cycle).
+    fn try_move(&mut self, n: usize, slot: usize, out: Dir, front: &Flit, now: Cycle) -> bool {
         match out {
             Dir::Local => {
-                let f = self.routers[n].inputs[in_dir]
-                    .as_mut()
-                    .expect("input exists")
-                    .vc_mut(vc)
-                    .pop(&self.arena)
-                    .expect("front checked");
-                self.routers[n].occupancy -= 1;
+                let f = self.vc_pop(n, slot);
                 self.eject(n, f, now);
                 true
             }
@@ -183,25 +125,19 @@ impl Network {
                 // transceiver interface; the bus phase drains it.
                 let bus_idx =
                     self.bus_of_node[n].expect("vertical output on non-pillar node") as usize;
-                let slot = self.iface_ix(bus_idx, self.routers[n].coord.layer);
-                if self.ifaces[slot].q.is_full() {
+                let iface = self.iface_ix(bus_idx, self.routers[n].coord.layer);
+                if self.ifaces[iface].q.is_full() {
                     return false;
                 }
-                let mut f = self.routers[n].inputs[in_dir]
-                    .as_mut()
-                    .expect("input exists")
-                    .vc_mut(vc)
-                    .pop(&self.arena)
-                    .expect("front checked");
+                let mut f = self.vc_pop(n, slot);
                 f.arrived = now;
-                self.ifaces[slot].q.push_back(&mut self.arena, f);
+                self.ifaces[iface].q.push_back(&mut self.arena, f);
                 // Interfaces only fill during the router phase, so the
                 // peak is the total right after an enqueue.
                 let queued = self.bus_queued(bus_idx) as u64;
                 let stats = &mut self.buses[bus_idx].stats;
                 stats.peak_queued = stats.peak_queued.max(queued);
-                self.mark_bus(bus_idx);
-                self.routers[n].occupancy -= 1;
+                self.bus_active.insert(bus_idx);
                 self.count_hop(n, &f);
                 true
             }
@@ -220,35 +156,20 @@ impl Network {
                 let dest_idx = self.layout.node_index(dest);
                 debug_assert_ne!(dest_idx, n);
                 let ii = out.opposite().index();
-                let dvc = {
-                    let port = self.routers[dest_idx].inputs[ii]
-                        .as_ref()
-                        .expect("link implies input port");
-                    if front.kind.is_head() {
-                        port.free_vc()
-                    } else {
-                        port.continuation_vc(front.pkt)
-                    }
+                let dest_router = &self.routers[dest_idx];
+                debug_assert!(dest_router.has_port(ii), "link implies input port");
+                let dvc = if front.kind.is_head() {
+                    dest_router.free_vc(ii, self.vcs)
+                } else {
+                    dest_router.continuation_vc(ii, self.vcs, self.router_vcs(dest_idx), front.pkt)
                 };
                 let Some(dvc) = dvc else {
                     return false;
                 };
-                let mut f = self.routers[n].inputs[in_dir]
-                    .as_mut()
-                    .expect("input exists")
-                    .vc_mut(vc)
-                    .pop(&self.arena)
-                    .expect("front checked");
+                let mut f = self.vc_pop(n, slot);
                 f.arrived = now;
                 f.hops += 1;
-                self.routers[dest_idx].inputs[ii]
-                    .as_mut()
-                    .expect("checked above")
-                    .vc_mut(dvc)
-                    .push(&mut self.arena, f);
-                self.routers[n].occupancy -= 1;
-                self.routers[dest_idx].occupancy += 1;
-                self.mark_dirty(dest_idx);
+                self.vc_push(dest_idx, ii * self.vcs + dvc, f);
                 self.count_hop(n, &f);
                 true
             }
@@ -294,9 +215,6 @@ impl Network {
                 hops: u32::from(d.hops),
             });
         self.outbox[n].push_back(d);
-        if !self.in_delivered[n] {
-            self.in_delivered[n] = true;
-            self.delivered_nodes.push(n as u32);
-        }
+        self.delivered.insert(n);
     }
 }

@@ -7,16 +7,22 @@
 //! depend on the arena's slot layout.
 //!
 //! Restore targets a freshly built [`Network`] with the same layout and
-//! configuration; the derived work lists (router dirty list, active
-//! injectors, active buses, delivered-node list) are recomputed from the
-//! restored queues rather than serialized, and scratch buffers start
-//! fresh.
+//! configuration. Everything derived is recomputed from the restored
+//! queues rather than serialized: each router's VC masks and held-output
+//! mask, each head flit's stored route, and the work sets (dirty routers,
+//! active injectors, active buses, delivered nodes). Restore also checks
+//! what the engine indexes by — VC and hold indices, coordinates, pillar
+//! ids, round-robin pointers, the occupancy and in-flight counts — and
+//! rejects an image that disagrees with a typed error instead of a later
+//! panic.
 
+use nim_topology::ChipLayout;
 use nim_types::codec::{ByteReader, ByteWriter, Checkpoint, CodecError};
-use nim_types::{Coord, Cycle, PacketId, PillarId};
+use nim_types::{Coord, Cycle, Dir, PacketId, PillarId};
 
 use crate::packet::{Delivered, Flit, FlitKind, SendRequest, TrafficClass};
 use crate::router::Hold;
+use crate::routing::route;
 use crate::stats::{LatencyHistogram, NetworkStats};
 
 use super::{Network, Pending};
@@ -104,6 +110,22 @@ fn restore_flit(r: &mut ByteReader<'_>) -> Result<Flit, CodecError> {
         hops: r.u16()?,
         bus_wait: r.u32()?,
     })
+}
+
+/// Whether `via` names no pillar or one the layout has.
+fn pillar_ok(layout: &ChipLayout, via: Option<PillarId>) -> bool {
+    via.is_none_or(|p| p.0 < layout.num_pillars())
+}
+
+/// Rejects a flit the engine could not route or deliver.
+fn check_flit(layout: &ChipLayout, f: &Flit) -> Result<(), CodecError> {
+    if layout.contains(f.src) && layout.contains(f.dst) && pillar_ok(layout, f.via) {
+        Ok(())
+    } else {
+        Err(CodecError::Corrupt(
+            "flit endpoint or pillar outside the chip",
+        ))
+    }
 }
 
 fn save_stats(w: &mut ByteWriter, s: &NetworkStats) {
@@ -197,21 +219,20 @@ impl Checkpoint for Network {
 
         // Routers: ports and VC contents in (node, direction, VC) order.
         w.u32(self.routers.len() as u32);
-        for router in &self.routers {
-            for input in &router.inputs {
-                match input {
-                    None => w.u8(0),
-                    Some(port) => {
-                        w.u8(1);
-                        w.u8(port.num_vcs() as u8);
-                        for v in 0..port.num_vcs() {
-                            let vc = port.vc(v);
-                            w.opt_u64(vc.owner().map(|p| p.0));
-                            w.u16(vc.fifo().len() as u16);
-                            for f in vc.fifo().iter(&self.arena) {
-                                save_flit(w, f);
-                            }
-                        }
+        for (n, router) in self.routers.iter().enumerate() {
+            for d in 0..Dir::COUNT {
+                if !router.has_port(d) {
+                    w.u8(0);
+                    continue;
+                }
+                w.u8(1);
+                w.u8(self.vcs as u8);
+                for slot in d * self.vcs..(d + 1) * self.vcs {
+                    let vc = self.vc(n, slot);
+                    w.opt_u64(vc.owner().map(|p| p.0));
+                    w.u16(vc.fifo().len() as u16);
+                    for f in vc.fifo().iter(&self.arena) {
+                        save_flit(w, f);
                     }
                 }
             }
@@ -289,38 +310,50 @@ impl Checkpoint for Network {
         if r.u32()? as usize != self.routers.len() {
             return Err(CodecError::Corrupt("router count mismatch"));
         }
+        let vcs = self.vcs;
         let mut flit_buf = Vec::new();
-        for router in &mut self.routers {
-            for input in &mut router.inputs {
-                let present = r.u8()? == 1;
-                let Some(port) = input.as_mut() else {
-                    if present {
-                        return Err(CodecError::Corrupt("input port structure mismatch"));
-                    }
-                    continue;
-                };
-                if !present {
+        for n in 0..self.routers.len() {
+            let (mut live, mut owned, mut occupancy) = (0u64, 0u64, 0u64);
+            for d in 0..Dir::COUNT {
+                if (r.u8()? == 1) != self.routers[n].has_port(d) {
                     return Err(CodecError::Corrupt("input port structure mismatch"));
                 }
-                if usize::from(r.u8()?) != port.num_vcs() {
+                if !self.routers[n].has_port(d) {
+                    continue;
+                }
+                if usize::from(r.u8()?) != vcs {
                     return Err(CodecError::Corrupt("VC count mismatch"));
                 }
-                for v in 0..port.num_vcs() {
+                for slot in d * vcs..(d + 1) * vcs {
                     let owner = r.opt_u64()?.map(PacketId);
                     let count = usize::from(r.u16()?);
-                    if count > port.vc(v).fifo().capacity() {
+                    let i = self.vc_ix(n, slot);
+                    if count > self.vc_slots[i].fifo().capacity() {
                         return Err(CodecError::Corrupt("VC deeper than its capacity"));
                     }
                     flit_buf.clear();
                     for _ in 0..count {
-                        flit_buf.push(restore_flit(r)?);
+                        let f = restore_flit(r)?;
+                        check_flit(&self.layout, &f)?;
+                        flit_buf.push(f);
                     }
-                    port.vc_mut(v)
-                        .restore_flits(&mut self.arena, &flit_buf, owner);
+                    self.vc_slots[i].restore_flits(&mut self.arena, &flit_buf, owner);
+                    if let Some(f) = flit_buf.first() {
+                        let at = self.routers[n].coord;
+                        self.vc_slots[i].route =
+                            route(&self.layout, &self.routes, self.mode, at, f.dst, f.via);
+                        live |= 1 << slot;
+                    }
+                    if owner.is_some() {
+                        owned |= 1 << slot;
+                    }
+                    occupancy += count as u64;
                 }
             }
-            for held in &mut router.held {
-                *held = match r.u8()? {
+            let router = &mut self.routers[n];
+            (router.live, router.owned) = (live, owned);
+            for o in 0..Dir::COUNT {
+                let hold = match r.u8()? {
                     0 => None,
                     1 => Some(Hold {
                         pkt: PacketId(r.u64()?),
@@ -329,18 +362,49 @@ impl Checkpoint for Network {
                     }),
                     _ => return Err(CodecError::Corrupt("bad hold tag")),
                 };
+                if hold.is_some_and(|h| {
+                    !router.has_port(o)
+                        || h.in_dir >= Dir::COUNT
+                        || !router.has_port(h.in_dir)
+                        || h.vc >= vcs
+                }) {
+                    return Err(CodecError::Corrupt("hold names a missing port or VC"));
+                }
+                router.set_hold(o, hold);
             }
             for rr in &mut router.rr {
                 *rr = r.u16()?;
+                if usize::from(*rr) >= Dir::COUNT * vcs {
+                    return Err(CodecError::Corrupt("round-robin pointer out of range"));
+                }
             }
             router.occupancy = r.u32()?;
+            if u64::from(router.occupancy) != occupancy {
+                return Err(CodecError::Corrupt(
+                    "router occupancy disagrees with its VCs",
+                ));
+            }
         }
 
-        for inj in &mut self.injectors {
-            inj.vc = r.opt_u64()?.map(|v| v as usize);
-            inj.queue.clear();
+        let mut pending_flits = 0u64;
+        for n in 0..self.injectors.len() {
+            let vc = r.opt_u64()?;
+            if vc.is_some_and(|v| v >= vcs as u64) {
+                return Err(CodecError::Corrupt("injector VC out of range"));
+            }
+            self.injectors[n].vc = vc.map(|v| v as usize);
+            self.injectors[n].queue.clear();
             for _ in 0..r.u32()? {
-                inj.queue.push_back(restore_pending(r)?);
+                let p = restore_pending(r)?;
+                if p.seq >= p.req.flits
+                    || !self.layout.contains(p.req.src)
+                    || !self.layout.contains(p.req.dst)
+                    || !pillar_ok(&self.layout, p.req.via)
+                {
+                    return Err(CodecError::Corrupt("bad pending packet"));
+                }
+                pending_flits += u64::from(p.req.flits - p.seq);
+                self.injectors[n].queue.push_back(p);
             }
         }
         for outbox in &mut self.outbox {
@@ -361,40 +425,50 @@ impl Checkpoint for Network {
             bus.stats.contention_cycles = r.u64()?;
             bus.stats.peak_queued = r.u64()?;
             for iface in ifaces {
-                let bound_vc = r.opt_u64()?.map(|v| v as usize);
+                let bound_vc = r.opt_u64()?;
+                if bound_vc.is_some_and(|v| v >= vcs as u64) {
+                    return Err(CodecError::Corrupt("interface VC out of range"));
+                }
                 let count = usize::from(r.u16()?);
                 if count > iface.q.capacity() {
                     return Err(CodecError::Corrupt("interface deeper than its capacity"));
                 }
-                iface.bound_vc = bound_vc;
+                iface.bound_vc = bound_vc.map(|v| v as usize);
                 for _ in 0..count {
                     let f = restore_flit(r)?;
+                    check_flit(&self.layout, &f)?;
                     iface.q.push_back(&mut self.arena, f);
                 }
             }
         }
 
-        // Rebuild the derived work lists from the restored queues, in
-        // ascending node/bus order (each phase sorts its work list).
+        // Every flit sent and not yet ejected sits in exactly one queue.
+        let buffered: u64 = self.routers.iter().map(|r| u64::from(r.occupancy)).sum();
+        let queued: u64 = self.ifaces.iter().map(|i| i.q.len() as u64).sum();
+        if buffered + queued + pending_flits != self.flits_in_flight {
+            return Err(CodecError::Corrupt(
+                "flits in flight disagree with the queues",
+            ));
+        }
+        // Rebuild the derived work sets from the restored queues.
+        self.dirty.clear();
+        self.inj_active.clear();
+        self.delivered.clear();
+        self.bus_active.clear();
         for n in 0..self.routers.len() {
             if self.routers[n].occupancy > 0 {
-                self.mark_dirty(n);
+                self.dirty.insert(n);
             }
-        }
-        for n in 0..self.injectors.len() {
             if !self.injectors[n].queue.is_empty() {
-                self.mark_inj(n);
+                self.inj_active.insert(n);
             }
-        }
-        for n in 0..self.outbox.len() {
-            if !self.outbox[n].is_empty() && !self.in_delivered[n] {
-                self.in_delivered[n] = true;
-                self.delivered_nodes.push(n as u32);
+            if !self.outbox[n].is_empty() {
+                self.delivered.insert(n);
             }
         }
         for b in 0..self.buses.len() {
             if self.bus_queued(b) > 0 {
-                self.mark_bus(b);
+                self.bus_active.insert(b);
             }
         }
         self.obs.set_now(self.now.0);
@@ -406,7 +480,6 @@ impl Checkpoint for Network {
 mod tests {
     use super::*;
     use crate::routing::VerticalMode;
-    use nim_topology::ChipLayout;
     use nim_types::SystemConfig;
 
     fn busy_net() -> (ChipLayout, Network) {
@@ -454,6 +527,7 @@ mod tests {
         restored.restore(&mut r).unwrap();
         assert_eq!(r.remaining(), 0);
         assert_eq!(restored.now(), original.now());
+        restored.assert_consistent();
 
         let a = drain_and_digest(&mut original);
         let b = drain_and_digest(&mut restored);

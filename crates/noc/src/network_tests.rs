@@ -1,11 +1,95 @@
 //! Unit tests for the [`Network`](super::Network) phases: injection,
-//! routing, dTDMA bus grants, and delivery accounting.
+//! routing, dTDMA bus grants, and delivery accounting, plus the
+//! consistency check of the engine's derived state.
 //! Lives beside `network.rs` (the `#[path]` include keeps `super::*`
 //! visibility) so the engine file itself stays within the size guard.
 
 use super::*;
 use crate::packet::TrafficClass;
 use nim_types::{PillarId, SystemConfig};
+
+impl Network {
+    /// Asserts that all derived state agrees with the queues it
+    /// summarises: every `live`/`owned` bit with its VC, each router's
+    /// occupancy with its VC lengths, the dirty set with the routers
+    /// holding flits, each head's stored route with a fresh `route()`,
+    /// the other work sets with their queues, and `flits_in_flight` with
+    /// buffered + transceiver-queued + not-yet-injected flits.
+    pub(super) fn assert_consistent(&self) {
+        let vcs = self.vcs;
+        let mut buffered = 0u64;
+        for (n, r) in self.routers.iter().enumerate() {
+            let mut flits = 0u64;
+            for slot in 0..Dir::COUNT * vcs {
+                let (vc, bit) = (self.vc(n, slot), 1u64 << slot);
+                if !r.has_port(slot / vcs) {
+                    assert_eq!(
+                        (r.live | r.owned) & bit,
+                        0,
+                        "router {n}: bit {slot} of a missing port"
+                    );
+                    continue;
+                }
+                assert_eq!(
+                    r.live & bit != 0,
+                    !vc.fifo().is_empty(),
+                    "router {n}: live bit {slot}"
+                );
+                assert_eq!(
+                    r.owned & bit != 0,
+                    vc.owner().is_some(),
+                    "router {n}: owned bit {slot}"
+                );
+                if let Some(f) = vc.front(&self.arena).filter(|f| f.kind.is_head()) {
+                    let fresh = route(&self.layout, &self.routes, self.mode, r.coord, f.dst, f.via);
+                    assert_eq!(vc.route, fresh, "router {n}: stored route of slot {slot}");
+                }
+                flits += vc.fifo().len() as u64;
+            }
+            assert_eq!(u64::from(r.occupancy), flits, "router {n}: occupancy");
+            assert_eq!(self.dirty.contains(n), flits > 0, "router {n}: dirty bit");
+            for (o, hold) in r.held.iter().enumerate() {
+                assert_eq!(
+                    r.held_mask & (1 << o) != 0,
+                    hold.is_some(),
+                    "router {n}: held bit {o}"
+                );
+            }
+            buffered += flits;
+        }
+        let dirty = self.routers.iter().filter(|r| r.occupancy > 0).count();
+        assert_eq!(self.dirty.len(), dirty, "dirty count");
+        let mut pending = 0u64;
+        for (n, inj) in self.injectors.iter().enumerate() {
+            assert_eq!(
+                self.inj_active.contains(n),
+                !inj.queue.is_empty(),
+                "injector {n}"
+            );
+            pending += inj
+                .queue
+                .iter()
+                .map(|p| u64::from(p.req.flits - p.seq))
+                .sum::<u64>();
+        }
+        for (n, outbox) in self.outbox.iter().enumerate() {
+            assert_eq!(self.delivered.contains(n), !outbox.is_empty(), "outbox {n}");
+        }
+        for b in 0..self.buses.len() {
+            assert_eq!(
+                self.bus_active.contains(b),
+                self.bus_queued(b) > 0,
+                "bus {b}"
+            );
+        }
+        let queued: u64 = self.ifaces.iter().map(|i| i.q.len() as u64).sum();
+        assert_eq!(
+            self.flits_in_flight,
+            buffered + queued + pending,
+            "flits in flight"
+        );
+    }
+}
 
 fn net(mode: VerticalMode) -> (ChipLayout, Network) {
     let cfg = SystemConfig::default();
@@ -274,4 +358,59 @@ fn mesh3d_four_layer_traffic() {
         d.hops, 3,
         "each layer crossing is a mesh hop in 3D-mesh mode"
     );
+}
+
+#[test]
+fn derived_state_stays_consistent_under_random_traffic() {
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+    let narrow = SystemConfig::default().with_layers(4);
+    let mut wide = SystemConfig::default();
+    wide.network.vcs_per_port = 8;
+    wide.network.vc_depth_flits = 2;
+    let cells = [
+        (SystemConfig::default(), VerticalMode::Pillars),
+        (wide, VerticalMode::Pillars),
+        (SystemConfig::default(), VerticalMode::Mesh3d),
+        (narrow, VerticalMode::Mesh3d),
+    ];
+    for (seed, (cfg, mode)) in cells.into_iter().enumerate() {
+        let layout = ChipLayout::new(&cfg).unwrap();
+        let mut net = Network::new(&layout, &cfg.network, mode);
+        let mut rng = StdRng::seed_from_u64(seed as u64);
+        let mut sent = 0u64;
+        let coord = |rng: &mut StdRng| {
+            Coord::new(
+                rng.random_range(0..layout.width()),
+                rng.random_range(0..layout.height()),
+                rng.random_range(0..layout.layers()),
+            )
+        };
+        for cycle in 0..2_000u64 {
+            if cycle < 600 {
+                for _ in 0..rng.random_range(0..3u32) {
+                    let src = coord(&mut rng);
+                    let dst = coord(&mut rng);
+                    net.send(SendRequest {
+                        src,
+                        dst,
+                        via: layout.nearest_pillar(src),
+                        class: TrafficClass::Data,
+                        flits: rng.random_range(1..=4u32),
+                        token: sent,
+                    });
+                    sent += 1;
+                }
+            }
+            net.tick();
+            if cycle % 5 == 0 {
+                // Pick some deliveries up one by one, the rest in bulk.
+                let _ = net.pop_delivered(coord(&mut rng));
+                net.drain_delivered();
+            }
+            net.assert_consistent();
+        }
+        assert!(net.is_idle(), "cell {seed} drains");
+        assert_eq!(net.stats().packets_delivered, sent);
+    }
 }

@@ -177,6 +177,15 @@ pub(crate) struct FlitFifo {
 }
 
 impl FlitFifo {
+    /// A FIFO with no slots, standing in for a port that does not exist;
+    /// it is never pushed to.
+    pub(crate) const ABSENT: FlitFifo = FlitFifo {
+        base: 0,
+        cap: 0,
+        head: 0,
+        len: 0,
+    };
+
     /// Creates a FIFO of `cap` flits backed by freshly reserved arena
     /// slots.
     pub(crate) fn new(arena: &mut FlitArena, cap: usize) -> Self {

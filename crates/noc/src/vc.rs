@@ -1,17 +1,19 @@
-//! Virtual channels and input ports.
+//! Virtual channels.
 //!
 //! Each physical channel of a router has a number of virtual channels
 //! (VCs): FIFO flit buffers holding flits of different pending messages
 //! (paper §3.2: 3 VCs per physical channel, each one 4-flit message deep).
 //! A VC is *owned* by the packet whose head flit allocated it; ownership
-//! is released when the tail flit drains, so a packet never interleaves
-//! with another inside one VC.
+//! is released when the tail flit drains, so a VC holds one packet at a
+//! time and a packet never interleaves with another inside one VC.
 //!
-//! Flit storage lives in the network-wide [`FlitArena`]; the `Vc` itself
-//! is a small inline record (ring indices + owner), so scanning a
-//! router's VCs for occupancy touches no per-queue heap allocation.
+//! Every VC of the chip lives in one network-wide `Vec<Vc>`, indexed
+//! `(node * Dir::COUNT + dir) * vcs + vc`; flit storage lives in the
+//! network-wide [`FlitArena`]. The `Vc` itself is a small inline record
+//! (ring indices, owner, route), and each router summarises its VCs in
+//! bitmasks, so a router visit reads only the VCs that hold flits.
 
-use nim_types::PacketId;
+use nim_types::{Dir, PacketId};
 
 use crate::packet::{Flit, FlitArena, FlitFifo};
 
@@ -20,14 +22,26 @@ use crate::packet::{Flit, FlitArena, FlitFifo};
 pub(crate) struct Vc {
     fifo: FlitFifo,
     owner: Option<PacketId>,
+    /// Output port the owning packet takes from this router. Look-ahead
+    /// routing: computed once, when the head flit enters the VC, and
+    /// read by every switch allocation that head then takes part in.
+    pub route: Dir,
 }
 
 impl Vc {
+    /// The slot of a port the router does not have; never pushed to.
+    pub(crate) const ABSENT: Vc = Vc {
+        fifo: FlitFifo::ABSENT,
+        owner: None,
+        route: Dir::Local,
+    };
+
     pub(crate) fn new(arena: &mut FlitArena, cap: usize) -> Self {
         assert!(cap >= 1, "VC depth must be at least one flit");
         Self {
             fifo: FlitFifo::new(arena, cap),
             owner: None,
+            route: Dir::Local,
         }
     }
 
@@ -43,7 +57,8 @@ impl Vc {
         self.owner == Some(pkt) && !self.fifo.is_full()
     }
 
-    /// Pushes a flit.
+    /// Pushes a flit. A head flit takes ownership; its caller then
+    /// records the packet's [`route`](Self::route).
     ///
     /// # Panics
     ///
@@ -79,12 +94,6 @@ impl Vc {
         Some(flit)
     }
 
-    #[inline]
-    #[allow(dead_code)] // exercised by tests; kept for diagnostics
-    pub(crate) fn len(&self) -> usize {
-        self.fifo.len()
-    }
-
     /// The owning packet, if any (snapshot save).
     #[inline]
     pub(crate) fn owner(&self) -> Option<PacketId> {
@@ -115,57 +124,11 @@ impl Vc {
     }
 }
 
-/// One input port: the VCs fed by one upstream link.
-#[derive(Clone, Debug)]
-pub(crate) struct InputPort {
-    vcs: Vec<Vc>,
-}
-
-impl InputPort {
-    pub(crate) fn new(arena: &mut FlitArena, num_vcs: usize, depth: usize) -> Self {
-        assert!(num_vcs >= 1);
-        Self {
-            vcs: (0..num_vcs).map(|_| Vc::new(arena, depth)).collect(),
-        }
-    }
-
-    /// Index of a VC a new packet's head flit may allocate.
-    pub(crate) fn free_vc(&self) -> Option<usize> {
-        self.vcs.iter().position(Vc::is_free)
-    }
-
-    /// Index of the VC owned by `pkt` with space for another flit.
-    pub(crate) fn continuation_vc(&self, pkt: PacketId) -> Option<usize> {
-        self.vcs.iter().position(|vc| vc.accepts_continuation(pkt))
-    }
-
-    #[inline]
-    pub(crate) fn vc(&self, idx: usize) -> &Vc {
-        &self.vcs[idx]
-    }
-
-    #[inline]
-    pub(crate) fn vc_mut(&mut self, idx: usize) -> &mut Vc {
-        &mut self.vcs[idx]
-    }
-
-    #[inline]
-    #[allow(dead_code)] // exercised by tests; kept for diagnostics
-    pub(crate) fn num_vcs(&self) -> usize {
-        self.vcs.len()
-    }
-
-    /// Total buffered flits across all VCs.
-    #[allow(dead_code)] // exercised by tests; kept for diagnostics
-    pub(crate) fn occupancy(&self) -> usize {
-        self.vcs.iter().map(Vc::len).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::packet::{FlitKind, TrafficClass};
+    use crate::router::Router;
     use nim_types::{Coord, Cycle, PacketId};
 
     fn flit(pkt: u64, kind: FlitKind) -> Flit {
@@ -215,25 +178,57 @@ mod tests {
         assert!(vc.is_free());
     }
 
+    /// A router with local, east and down ports of `vcs` VCs each, plus
+    /// the VC store for its slots.
+    fn local_port(arena: &mut FlitArena, vcs: usize) -> (Router, Vec<Vc>) {
+        let r = Router::new(Coord::new(0, 0, 1), &[Dir::Local, Dir::East, Dir::Down]);
+        let slots = (0..Dir::COUNT * vcs).map(|_| Vc::new(arena, 4)).collect();
+        (r, slots)
+    }
+
+    /// Pushes a head flit into local VC `v`, keeping the masks in step.
+    fn push_head(arena: &mut FlitArena, r: &mut Router, slots: &mut [Vc], v: usize, pkt: u64) {
+        let slot = Dir::Local.index() * slots.len() / Dir::COUNT + v;
+        slots[slot].push(arena, flit(pkt, FlitKind::Head));
+        r.live |= 1 << slot;
+        r.owned |= 1 << slot;
+    }
+
     #[test]
     fn input_port_vc_selection() {
         let mut arena = FlitArena::default();
-        let mut port = InputPort::new(&mut arena, 3, 4);
-        assert_eq!(port.free_vc(), Some(0));
-        port.vc_mut(0).push(&mut arena, flit(1, FlitKind::Head));
-        assert_eq!(port.free_vc(), Some(1), "skips the owned VC");
-        assert_eq!(port.continuation_vc(PacketId(1)), Some(0));
-        assert_eq!(port.continuation_vc(PacketId(2)), None);
-        assert_eq!(port.occupancy(), 1);
-        assert_eq!(port.num_vcs(), 3);
+        let (mut r, mut slots) = local_port(&mut arena, 3);
+        let li = Dir::Local.index();
+        assert_eq!(r.free_vc(li, 3), Some(0));
+        push_head(&mut arena, &mut r, &mut slots, 0, 1);
+        assert_eq!(r.free_vc(li, 3), Some(1), "skips the owned VC");
+        assert_eq!(r.continuation_vc(li, 3, &slots, PacketId(1)), Some(0));
+        assert_eq!(r.continuation_vc(li, 3, &slots, PacketId(2)), None);
+        assert_eq!(
+            r.free_vc(Dir::East.index(), 3),
+            Some(0),
+            "ports are independent"
+        );
     }
 
     #[test]
     fn all_vcs_busy_blocks_new_heads() {
         let mut arena = FlitArena::default();
-        let mut port = InputPort::new(&mut arena, 2, 4);
-        port.vc_mut(0).push(&mut arena, flit(1, FlitKind::Head));
-        port.vc_mut(1).push(&mut arena, flit(2, FlitKind::Head));
-        assert_eq!(port.free_vc(), None);
+        let (mut r, mut slots) = local_port(&mut arena, 2);
+        push_head(&mut arena, &mut r, &mut slots, 0, 1);
+        push_head(&mut arena, &mut r, &mut slots, 1, 2);
+        assert_eq!(r.free_vc(Dir::Local.index(), 2), None);
+    }
+
+    #[test]
+    fn eight_vcs_fill_the_last_port_of_the_mask() {
+        let mut arena = FlitArena::default();
+        let (mut r, mut slots) = local_port(&mut arena, 8);
+        for v in 0..8 {
+            assert_eq!(r.free_vc(Dir::Local.index(), 8), Some(v));
+            push_head(&mut arena, &mut r, &mut slots, v, v as u64);
+        }
+        assert_eq!(r.free_vc(Dir::Local.index(), 8), None);
+        assert_eq!(r.free_vc(Dir::Down.index(), 8), Some(0), "bits 56..64");
     }
 }

@@ -42,6 +42,15 @@ pub enum ConfigError {
     /// The dTDMA bus saturates beyond 8 layers (paper §3.1: the bus is
     /// preferable to a vertical NoC only below 9 device layers).
     TooManyLayers(u8),
+    /// A parameter exceeds the largest value the simulator supports.
+    TooLarge {
+        /// Name of the offending parameter.
+        what: &'static str,
+        /// The rejected value.
+        value: u64,
+        /// The largest accepted value.
+        max: u64,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -66,6 +75,9 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::TooManyLayers(layers) => {
                 write!(f, "{layers} layers exceed the 8-layer dTDMA bus limit")
+            }
+            ConfigError::TooLarge { what, value, max } => {
+                write!(f, "{what} is {value} but at most {max} is supported")
             }
         }
     }
@@ -365,6 +377,17 @@ impl SystemConfig {
                 Err(ConfigError::NotPowerOfTwo { what, value: v })
             }
         }
+        fn bounded(what: &'static str, v: u32, max: u32) -> Result<(), ConfigError> {
+            match v {
+                0 => Err(ConfigError::Zero(what)),
+                v if v > max => Err(ConfigError::TooLarge {
+                    what,
+                    value: v.into(),
+                    max: max.into(),
+                }),
+                _ => Ok(()),
+            }
+        }
         if self.num_cpus == 0 {
             return Err(ConfigError::Zero("num_cpus"));
         }
@@ -383,6 +406,13 @@ impl SystemConfig {
         if self.network.layers > 1 && self.network.bus_width_bits == 0 {
             return Err(ConfigError::Zero("network.bus_width_bits"));
         }
+        // A router keeps one 64-bit mask over its 8 ports × VCs.
+        bounded("network.vcs_per_port", self.network.vcs_per_port, 8)?;
+        bounded(
+            "network.vc_depth_flits",
+            self.network.vc_depth_flits,
+            1 << 14,
+        )?;
         if self.memory_controllers == 0 {
             return Err(ConfigError::Zero("memory_controllers"));
         }
@@ -538,6 +568,63 @@ mod tests {
     fn validate_rejects_nine_layers() {
         let cfg = SystemConfig::default().with_layers(9);
         assert_eq!(cfg.validate(), Err(ConfigError::TooManyLayers(9)));
+    }
+
+    #[test]
+    fn validate_rejects_zero_vcs_per_port() {
+        let mut cfg = SystemConfig::default();
+        cfg.network.vcs_per_port = 0;
+        assert_eq!(
+            cfg.validate(),
+            Err(ConfigError::Zero("network.vcs_per_port"))
+        );
+    }
+
+    #[test]
+    fn validate_rejects_zero_vc_depth() {
+        let mut cfg = SystemConfig::default();
+        cfg.network.vc_depth_flits = 0;
+        assert_eq!(
+            cfg.validate(),
+            Err(ConfigError::Zero("network.vc_depth_flits"))
+        );
+    }
+
+    #[test]
+    fn validate_bounds_vcs_per_port_by_the_router_mask() {
+        let mut cfg = SystemConfig::default();
+        cfg.network.vcs_per_port = 8;
+        assert_eq!(cfg.validate(), Ok(()));
+        cfg.network.vcs_per_port = 9;
+        assert_eq!(
+            cfg.validate(),
+            Err(ConfigError::TooLarge {
+                what: "network.vcs_per_port",
+                value: 9,
+                max: 8
+            })
+        );
+    }
+
+    #[test]
+    fn validate_bounds_vc_depth_by_the_fifo_limit() {
+        let mut cfg = SystemConfig::default();
+        cfg.network.vc_depth_flits = 16_384;
+        assert_eq!(cfg.validate(), Ok(()));
+        cfg.network.vc_depth_flits = 16_385;
+        let err = cfg.validate().unwrap_err();
+        assert_eq!(
+            err,
+            ConfigError::TooLarge {
+                what: "network.vc_depth_flits",
+                value: 16_385,
+                max: 16_384
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "network.vc_depth_flits is 16385 but at most 16384 is supported"
+        );
     }
 
     #[test]

@@ -14,6 +14,7 @@ use std::error::Error;
 use std::fs::File;
 use std::io::BufWriter;
 use std::process::ExitCode;
+use std::time::Instant;
 
 use network_in_memory::core::experiments::{
     latency_breakdown, scale_sweep, table3_thermal, ExperimentScale, ScaleSpec,
@@ -337,6 +338,7 @@ fn run_one(opts: &Options, scheme: Scheme, obs: Obs) -> Result<(), Box<dyn Error
         .seed(opts.seed)
         .observability(obs.clone())
         .build()?;
+    let started = Instant::now();
     let report = match &opts.snapshot_out {
         Some(path) => run_checkpointed(
             &mut system,
@@ -347,6 +349,13 @@ fn run_one(opts: &Options, scheme: Scheme, obs: Obs) -> Result<(), Box<dyn Error
         )?,
         None => system.run(&opts.bench)?,
     };
+    // The sampler measures cycles/sec only across two or more sample
+    // rows; otherwise derive it from the whole run.
+    let cycles_per_sec = match obs.cycles_per_sec() {
+        sampled if sampled > 0.0 => sampled,
+        _ => system.network().now().0 as f64 / started.elapsed().as_secs_f64(),
+    };
+    obs.gauge_set("sim/cycles_per_sec", cycles_per_sec);
     print_report(scheme, &report);
     if let Some(path) = &opts.trace_out {
         let mut w = BufWriter::new(File::create(path).map_err(|e| format!("{path}: {e}"))?);
@@ -362,9 +371,7 @@ fn run_one(opts: &Options, scheme: Scheme, obs: Obs) -> Result<(), Box<dyn Error
         obs.export_metrics(&mut w)?;
         eprintln!("metrics -> {path}");
     }
-    if obs.is_enabled() && obs.sample_every() > 0 {
-        eprintln!("simulated {:.0} cycles/sec", obs.cycles_per_sec());
-    }
+    eprintln!("simulated {cycles_per_sec:.0} cycles/sec");
     Ok(())
 }
 
@@ -744,6 +751,35 @@ mod tests {
         assert!(parse_options(&args(&["--trace-filter", "bogus"]))
             .unwrap_err()
             .contains("--trace-filter"));
+    }
+
+    #[test]
+    fn metrics_report_cycles_per_sec_without_sampling() {
+        let path = std::env::temp_dir().join(format!("nim-cps-{}.json", std::process::id()));
+        let opts = parse_options(&args(&[
+            "--warmup",
+            "20",
+            "--sample",
+            "200",
+            "--metrics-out",
+            path.to_str().unwrap(),
+        ]))
+        .unwrap();
+        assert_eq!(opts.sample_every, 0);
+        run_one(&opts, opts.scheme, opts.obs()).unwrap();
+        let json = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let key = "\"sim/cycles_per_sec\":";
+        let at = json.find(key).expect("gauge exported") + key.len();
+        let value: f64 = json[at..]
+            .trim_start()
+            .split([',', '}'])
+            .next()
+            .unwrap()
+            .trim()
+            .parse()
+            .unwrap();
+        assert!(value > 0.0, "cycles/sec {value}");
     }
 
     #[test]
